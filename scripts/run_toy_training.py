@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from freqmamba import model as M
 from freqmamba import training as TR
 from freqmamba.ppm import write_ppm
-from freqmamba.tensor import Tensor, no_grad
+from freqmamba.tensor import Tensor
 
 
 def main():
@@ -41,12 +41,10 @@ def main():
     psnr, ssim = TR.eval_pairs(model, pairs)
     print(f"trained: {psnr:.2f} dB / SSIM {ssim:.4f} (gain {psnr - base:+.2f} dB)")
 
-    with no_grad():
-        for i, (rainy, clean, _) in enumerate(pairs[:3]):
-            restored = np.clip(model.forward(Tensor(rainy[None])).data, 0, 1)
-            write_ppm(Tensor(rainy[None]), out / f"pair{i}_rainy.ppm")
-            write_ppm(Tensor(clean[None]), out / f"pair{i}_clean.ppm")
-            write_ppm(Tensor(restored), out / f"pair{i}_restored.ppm")
+    for i, (rainy, clean, _) in enumerate(pairs[:3]):
+        write_ppm(Tensor(rainy[None]), out / f"pair{i}_rainy.ppm")
+        write_ppm(Tensor(clean[None]), out / f"pair{i}_clean.ppm")
+        write_ppm(Tensor(TR.restore(model, rainy[None])), out / f"pair{i}_restored.ppm")
     print(f"artifacts in {out}/")
 
 

@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -164,25 +163,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _reflect_pad_to_16(img: np.ndarray):
-    n, c, h, w = img.shape
-    ph = (16 - h % 16) % 16
-    pw = (16 - w % 16) % 16
-    if ph or pw:
-        img = np.pad(img, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
-    return img, h, w
-
-
 def cmd_infer(args) -> int:
     model = M.load(args.checkpoint)
-    img = read_ppm(args.input)
-    padded, h, w = _reflect_pad_to_16(img.data)
-    with no_grad():
-        out = model.forward(Tensor(padded))
-    restored = out.data[:, :, :h, :w]
-    if not np.isfinite(restored).all():
-        raise NumericError("non-finite values in restored image")
-    write_ppm(Tensor(np.clip(restored, 0.0, 1.0)), args.output)
+    restored = TR.restore(model, read_ppm(args.input).data)
+    write_ppm(Tensor(restored), args.output)
     print(f"restored {args.input} -> {args.output}")
     return 0
 
@@ -190,26 +174,8 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     model = M.load(args.checkpoint)
     pairs = TR.load_paired_folder(args.folder)
-
-    def one(pair):
-        ry, cl, _ = pair
-        with no_grad():
-            out = model.forward(Tensor(ry[None]))
-        out = Tensor(np.clip(out.data, 0.0, 1.0))
-        return TR.psnr_y(out, Tensor(cl[None])), TR.ssim_y(out, Tensor(cl[None]))
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(one, pairs))
-    else:
-        scores = [one(p) for p in pairs]
-    psnrs = [s[0] for s in scores]
-    ssims = [s[1] for s in scores]
-    if not all(np.isfinite(s) or s == float("inf") for s in psnrs):
-        raise NumericError("non-finite metric encountered")
-    print(f"evaluated {len(pairs)} pairs: mean PSNR {np.mean(psnrs):.2f} dB, "
-          f"mean SSIM {np.mean(ssims):.4f}")
+    psnr, ssim = TR.eval_pairs(model, pairs, workers=worker_count())
+    print(f"evaluated {len(pairs)} pairs: mean PSNR {psnr:.2f} dB, mean SSIM {ssim:.4f}")
     return 0
 
 

@@ -10,6 +10,7 @@ projection starts at zero, so an untrained model is the identity restorer.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -93,7 +94,6 @@ class Model:
     attn: list                 # 3 AttentionMapGen or empty
     head: ConvWeights
     iteration: int = 0
-    opt_state: dict | None = None
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -218,21 +218,17 @@ def forward(model: Model, rainy: Tensor, debug_dir=None) -> Tensor:
 # FMCK checkpoint format
 
 
-def save(model: Model, path, opt_state: dict | None = None) -> None:
+def save(model: Model, path) -> None:
     """magic, u32 version, length-prefixed canonical config blob, then
     [u32 name length, name, 4 u32 dims, float32 LE payload] records."""
     blob = model.config.canonical_text() + f"[state]\niteration = {model.iteration}\n"
     blob_bytes = blob.encode()
-    records = dict(model.named_params())
-    if opt_state is not None:
-        for name, arr in opt_state.items():
-            records[f"opt.{name}"] = Tensor(arr)
     with open(path, "wb") as fh:
         fh.write(FMCK_MAGIC)
         fh.write(struct.pack("<I", FMCK_VERSION))
         fh.write(struct.pack("<I", len(blob_bytes)))
         fh.write(blob_bytes)
-        for name, t in records.items():
+        for name, t in model.named_params().items():
             data = t.data
             dims = list(data.shape) + [1] * (4 - data.ndim)
             if data.ndim > 4:
@@ -276,30 +272,33 @@ def load(path, expected_config: ModelConfig | None = None) -> Model:
     version = r.u32()
     if version != FMCK_VERSION:
         raise MagicError(f"{path}: unsupported checkpoint version {version}")
-    text = r.take(r.u32()).decode()
-    model_text, _, state_text = text.partition("[state]")
-    config = ModelConfig.from_canonical_text(model_text)
+    text = r.take(r.u32())
+    try:
+        model_text, _, state_text = text.decode().partition("[state]")
+        config = ModelConfig.from_canonical_text(model_text)
+        iteration = 0
+        for line in state_text.splitlines():
+            if line.startswith("iteration"):
+                iteration = int(line.partition("=")[2])
+    except (ValueError, TypeError) as e:  # ValueError covers UnicodeDecodeError, ConfigError
+        raise MagicError(f"{path}: malformed config text: {e}") from None
     if expected_config is not None and expected_config.canonical_text() != config.canonical_text():
         raise ConfigMismatchError(f"{path}: checkpoint config does not match the expected config")
-    iteration = 0
-    for line in state_text.splitlines():
-        if line.startswith("iteration"):
-            iteration = int(line.partition("=")[2])
 
     records = {}
     while r.remaining:
-        name = r.take(r.u32()).decode()
+        # a name that is not UTF-8 matches no parameter and fails the inventory check
+        name = r.take(r.u32()).decode(errors="replace")
         dims = struct.unpack("<4I", r.take(16))
-        count = int(np.prod(dims))
+        count = math.prod(dims)  # Python ints: np.prod of four u32 can wrap negative
         data = np.frombuffer(r.take(4 * count), dtype="<f4").astype(np.float64)
         records[name] = (dims, data)
 
     model = build(config, seed=0)
     model.iteration = iteration
     params = model.named_params()
-    param_records = {k: v for k, v in records.items() if not k.startswith("opt.")}
-    missing = sorted(set(params) - set(param_records))
-    extra = sorted(set(param_records) - set(params))
+    missing = sorted(set(params) - set(records))
+    extra = sorted(set(records) - set(params))
     if missing or extra:
         raise ConfigMismatchError(f"{path}: parameter inventory mismatch "
                                   f"(missing {missing[:3]}, extra {extra[:3]})")
@@ -309,12 +308,4 @@ def load(path, expected_config: ModelConfig | None = None) -> Model:
         if list(dims) != want:
             raise ConfigMismatchError(f"{path}: {name} has dims {dims}, model expects {want}")
         tensor.data = data.reshape(tensor.data.shape)
-    opt = {}
-    for k, (dims, data) in records.items():
-        if not k.startswith("opt."):
-            continue
-        key = k[4:]
-        base = key.rsplit(".", 1)[0]  # "name.m"/"name.v" mirror the parameter shape
-        opt[key] = data.reshape(params[base].data.shape) if base in params else data
-    model.opt_state = opt or None
     return model

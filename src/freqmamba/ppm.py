@@ -30,7 +30,11 @@ def read_ppm(path) -> Tensor:
             raise TruncatedError(f"{path}: header ended early")
         tokens.append(blob[start:pos])
     pos += 1  # single whitespace after maxval
+    if not all(t.isdigit() for t in tokens):
+        raise MagicError(f"{path}: header sizes must be decimal digits, got {tokens}")
     w, h, maxval = (int(t) for t in tokens)
+    if w == 0 or h == 0:
+        raise MagicError(f"{path}: empty {w}x{h} image")
     if maxval != 255:
         raise MagicError(f"{path}: only maxval 255 supported, got {maxval}")
     need = w * h * 3

@@ -178,11 +178,22 @@ def init_scan2d_params(channels: int, state_dim: int, n_directions: int,
 # core recurrence (stacked over directions G and batch N)
 
 
+# Bytes of one (Q, G, N, C, S) time block: small enough that a block's decays,
+# inputs and states stay in cache while the recurrence sweeps it.
+_BLOCK_BYTES = 1 << 20
+
+
+def _time_blocks(l_: int, step_bytes: int) -> list[tuple[int, int]]:
+    q = max(1, _BLOCK_BYTES // step_bytes)
+    return [(t0, min(t0 + q, l_)) for t0 in range(0, l_, q)]
+
+
 def _scan_forward(u, a_log, wb, wc, wd, db):
     """u: (G, N, L, C); params stacked over G.  Returns readout y and cache.
 
-    Projections run as batched matmuls; the per-step state update is the only
-    sequential part and works in place on the (L, G, N, C, S) history buffer.
+    Projections run as batched matmuls.  The per-step state update is the only
+    sequential part; it runs block by block over time, and each block's decays
+    and states are built, swept and read out while still in cache.
     """
     g_, n_, l_, c_ = u.shape
     s_ = a_log.shape[-1]
@@ -193,15 +204,23 @@ def _scan_forward(u, a_log, wb, wc, wd, db):
     delta = _softplus(z)
     a = -np.exp(a_log)  # (G, C, S)
     dl = delta.transpose(2, 0, 1)[:, :, :, None, None]          # (L, G, N, 1, 1)
-    abar = np.exp(dl * a[None, :, None, :, :])                  # (L, G, N, C, S)
-    bu = (dl * u.transpose(2, 0, 1, 3)[..., None]) * b.transpose(2, 0, 1, 3)[:, :, :, None, :]
-    hs = bu  # reuse the buffer: hs[t] accumulates in place below
-    tmp = np.empty_like(hs[0])
-    for t in range(1, l_):
-        np.multiply(abar[t], hs[t - 1], out=tmp)
-        hs[t] += tmp
-    y = np.matmul(hs.transpose(1, 2, 0, 3, 4),                  # (G, N, L, C, S)
-                  cc[..., None]).reshape(g_, n_, l_, c_)
+    u_t = u.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1)
+    b_t = b.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, S)
+    abar = np.empty((l_, g_, n_, c_, s_))                        # exp(delta * A)
+    hs = np.empty_like(abar)                                     # h_t for every t
+    cc_t = cc.transpose(2, 0, 1, 3)[..., None]                   # (L, G, N, S, 1)
+    y = np.empty((g_, n_, l_, c_))
+    y_t = y.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1) view
+    tmp = np.empty_like(abar[0])
+    for t0, t1 in _time_blocks(l_, abar[0].nbytes):
+        np.multiply(dl[t0:t1], a[None, :, None], out=abar[t0:t1])
+        np.exp(abar[t0:t1], out=abar[t0:t1])
+        np.multiply(dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], out=hs[t0:t1])  # B_bar u_t
+        t = max(t0, 1)
+        for a_t, h_prev, h_t in zip(abar[t:t1], hs[t - 1:t1 - 1], hs[t:t1]):
+            np.multiply(a_t, h_prev, out=tmp)
+            np.add(h_t, tmp, out=h_t)
+        np.matmul(hs[t0:t1], cc_t[t0:t1], out=y_t[t0:t1])           # sum over s
     cache = (u, b, cc, z, delta, a, abar, hs, wb, wc, wd, a_log)
     return y, cache
 
@@ -211,37 +230,61 @@ def _scan_backward(dy, cache):
     u, b, cc, z, delta, a, abar, hs, wb, wc, wd, a_log = cache
     g_, n_, l_, c_ = u.shape
     s_ = b.shape[-1]
-    hs_t = hs.transpose(1, 2, 0, 3, 4)                           # (G, N, L, C, S) view
-    dcc = np.matmul(dy[:, :, :, None, :], hs_t).reshape(g_, n_, l_, s_)
-    # adjoint recurrence: gradient at h_t collects the readout term plus the
-    # decayed gradient from h_{t+1}; runs in place on the buffer
-    gh_all = dy.transpose(2, 0, 1, 3)[..., None] * cc.transpose(2, 0, 1, 3)[:, :, :, None, :]
-    tmp = np.empty_like(gh_all[0])
-    for t in range(l_ - 2, -1, -1):
-        np.multiply(abar[t + 1], gh_all[t + 1], out=tmp)
-        gh_all[t] += tmp
-    # A_bar = exp(delta*A): d/ddelta = A*A_bar, d/dA = delta*A_bar
-    dabar_abar = gh_all * abar
-    dabar_abar[0] = 0.0
-    dabar_abar[1:] *= hs[:-1]                                    # dA_bar * A_bar via the h_{t-1} factor
+    dy_t = dy.transpose(2, 0, 1, 3)[..., None]                   # (L, G, N, C, 1)
+    cc_t = cc.transpose(2, 0, 1, 3)[:, :, :, None, :]            # (L, G, N, 1, S)
+    u_r = u.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, C)
+    b_c = b.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, S, 1)
+    dy_r = dy.transpose(2, 0, 1, 3)[:, :, :, None, :]            # (L, G, N, 1, C)
+    dcc = np.empty((l_, g_, n_, 1, s_))
+    # (G, L, N, C, S) in memory: the dA einsum sums in memory order, and this
+    # is the order the loss traces in perfbench/README.md were computed with
+    dabar_abar = np.empty((g_, l_, n_, c_, s_)).transpose(1, 0, 2, 3, 4)
+    dbu_u = np.empty((l_, g_, n_, 1, s_))
+    du = np.empty((l_, g_, n_, c_, 1))
+    # adjoint recurrence, run backwards one time block at a time: gradient at
+    # h_t collects the readout term plus the decayed gradient from h_{t+1}.
+    # A_bar = exp(delta*A): d/ddelta = A*A_bar, d/dA = delta*A_bar.  The decay
+    # term A_bar[t+1] * gh[t+1] is also gh * A_bar at t+1, so the sweep keeps
+    # it in `dab`; `carry` takes it across a block boundary.
+    blocks = _time_blocks(l_, abar[0].nbytes)
+    dab_blk = np.empty_like(abar[:blocks[0][1]])
+    carry = None
+    for t0, t1 in reversed(blocks):
+        np.matmul(dy_r[t0:t1], hs[t0:t1], out=dcc[t0:t1])       # sum over c
+        gh = np.multiply(dy_t[t0:t1], cc_t[t0:t1], order="C")
+        dab = dab_blk[:t1 - t0]
+        if carry is not None:
+            gh[-1] += carry
+        for a_next, g_next, g_t, d_next in zip(abar[t1 - 1:t0:-1], gh[:0:-1], gh[-2::-1], dab[:0:-1]):
+            np.multiply(a_next, g_next, out=d_next)
+            np.add(g_t, d_next, out=g_t)
+        # dA_bar * A_bar via the h_{t-1} factor; zero at t = 0
+        if t0:
+            carry = np.multiply(abar[t0], gh[0], out=dab[0]).copy()
+            np.multiply(dab, hs[t0 - 1:t1 - 1], out=dabar_abar[t0:t1])
+        else:
+            dabar_abar[0] = 0.0
+            np.multiply(dab[1:], hs[:t1 - 1], out=dabar_abar[1:t1])
+        # B_bar*u = delta * B[s] * u[c]
+        np.matmul(u_r[t0:t1], gh, out=dbu_u[t0:t1])              # sum over c
+        np.matmul(gh, b_c[t0:t1], out=du[t0:t1])                 # sum over s
+    dcc = dcc.reshape(l_, g_, n_, s_).transpose(1, 2, 0, 3).reshape(g_, n_ * l_, s_)
+    dbu_u = dbu_u.reshape(l_, g_, n_, s_)
+    du = du.reshape(l_, g_, n_, c_)
     ddelta = np.einsum("lgncs,gcs->gnl", dabar_abar, a)
     da = np.einsum("lgncs,gnl->gcs", dabar_abar, delta)
     da_log = da * a  # dA/dA_log = -exp(A_log) = A
-    # B_bar*u = delta * B[s] * u[c]
-    dbu = gh_all
-    dbu_u = np.matmul(u.transpose(2, 0, 1, 3)[:, :, :, None, :],  # (L, G, N, 1, C)
-                      dbu).reshape(l_, g_, n_, s_)                # sum over c
     ddelta += np.einsum("lgns,gnls->gnl", dbu_u, b)
-    dbproj = (dbu_u * delta.transpose(2, 0, 1)[..., None]).transpose(1, 2, 0, 3)  # (G, N, L, S)
-    du = np.matmul(dbu, b.transpose(2, 0, 1, 3)[..., None]).reshape(l_, g_, n_, c_)
+    dbproj = (dbu_u * delta.transpose(2, 0, 1)[..., None]).transpose(1, 2, 0, 3)
+    dbproj = dbproj.reshape(g_, n_ * l_, s_)
     du *= delta.transpose(2, 0, 1)[..., None]
     du = np.ascontiguousarray(du.transpose(1, 2, 0, 3))           # (G, N, L, C)
-    # linear projections (batched matmuls over flattened N*L)
+    # linear projections (batched matmuls over flattened N*L, as (G, N*L, S) copies)
     u2 = u.reshape(g_, n_ * l_, c_)
-    dwb = np.matmul(dbproj.reshape(g_, n_ * l_, s_).transpose(0, 2, 1), u2)
-    du += np.matmul(dbproj.reshape(g_, n_ * l_, s_), wb).reshape(g_, n_, l_, c_)
-    dwc = np.matmul(dcc.reshape(g_, n_ * l_, s_).transpose(0, 2, 1), u2)
-    du += np.matmul(dcc.reshape(g_, n_ * l_, s_), wc).reshape(g_, n_, l_, c_)
+    dwb = np.matmul(dbproj.transpose(0, 2, 1), u2)
+    du += np.matmul(dbproj, wb).reshape(g_, n_, l_, c_)
+    dwc = np.matmul(dcc.transpose(0, 2, 1), u2)
+    du += np.matmul(dcc, wc).reshape(g_, n_, l_, c_)
     dz = ddelta * _sigmoid(z)
     dwd = np.einsum("gnl,gnlc->gc", dz, u)
     ddb = dz.sum(axis=(1, 2))

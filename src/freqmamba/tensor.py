@@ -79,42 +79,28 @@ def make_node(data, parents: Sequence[Tensor], backward_rule, op: str) -> Tensor
     return out
 
 
-class Tape:
-    """Topologically ordered record of the graph reaching a root node.
-
-    ``nodes`` lists every gradient-carrying node with parents before children,
-    so a single reverse sweep propagates all gradients.
-    """
-
-    def __init__(self, nodes: list[Tensor]):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        nodes: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                nodes.append(node)
-                continue
-            if id(node) in visited or not node.requires_grad:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node.parents:
-                stack.append((p, False))
-        return cls(nodes)
-
-
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad node reachable from a scalar loss."""
     if loss.data.shape != ():
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    tape = Tape.trace(loss)
+    # depth-first post-order: parents before children, so a single reverse
+    # sweep propagates all gradients
+    nodes: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            nodes.append(node)
+            continue
+        if id(node) in visited or not node.requires_grad:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            stack.append((p, False))
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(tape.nodes):
+    for node in reversed(nodes):
         if node.backward_rule is None or node.grad is None:
             continue
         grads = node.backward_rule(node.grad)
@@ -244,7 +230,8 @@ def mean_all(x: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     xd = x.data
-    sig = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+    e = np.exp(-np.abs(xd))
+    sig = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     y = xd * sig
     dydx = sig * (1.0 + xd * (1.0 - sig))
     return make_node(y, (x,), lambda g: (g * dydx,), "silu")

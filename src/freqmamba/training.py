@@ -1,4 +1,5 @@
-"""Losses, optimizer, schedule, quality metrics, synthetic rain, training loop.
+"""Losses, optimizer, schedule, quality metrics, synthetic rain, training loop,
+and the one restore path behind infer, eval and eval_pairs.
 
 The composite loss is mean L1 in the spatial domain plus weighted mean L1 on
 the amplitude and phase spectra (weights default to 0.05 each).  Phase terms
@@ -9,6 +10,7 @@ is accepted.  PSNR/SSIM run on the Y channel of YCbCr.
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -333,20 +335,46 @@ def train(model: Model, tc: TrainConfig, mc: ModelConfig, log_path=None):
                     log_fh.write(f"{it} {lr:.8e} {row['l_spa']:.8e} {row['l_amp']:.8e} "
                                  f"{row['l_pha']:.8e} {row['l_total']:.8e} {row['psnr']:.4f}\n")
                     log_fh.flush()
+            # release this step's graph before the next forward builds another
+            del out, total, comps
     finally:
         if log_fh:
             log_fh.close()
     return metrics
 
 
-def eval_pairs(model: Model, pairs) -> tuple[float, float]:
-    """Mean PSNR and SSIM of restored outputs over (rainy, clean, *) pairs."""
-    psnrs, ssims = [], []
+def restore(model: Model, rainy: np.ndarray) -> np.ndarray:
+    """Derain an (N, 3, H, W) batch of any size; returns it clipped to [0, 1].
+
+    H and W are reflect-padded up to multiples of 16 for the network and the
+    output is cropped back.
+    """
+    h, w = rainy.shape[2:]
+    ph, pw = -h % 16, -w % 16
+    if ph or pw:
+        rainy = np.pad(rainy, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
     with no_grad():
-        for ry, cl, *_ in pairs:
-            out = model.forward(Tensor(ry[None]))
-            out = Tensor(np.clip(out.data, 0.0, 1.0))
-            gt = Tensor(cl[None])
-            psnrs.append(psnr_y(out, gt))
-            ssims.append(ssim_y(out, gt))
+        out = model.forward(Tensor(rainy)).data[:, :, :h, :w]
+    if not np.isfinite(out).all():
+        raise NumericError("non-finite values in restored image")
+    return np.clip(out, 0.0, 1.0)
+
+
+def eval_pairs(model: Model, pairs, workers: int = 1) -> tuple[float, float]:
+    """Mean PSNR and SSIM of restored outputs over (rainy, clean, *) pairs."""
+
+    def score(pair):
+        ry, cl, *_ = pair
+        out, gt = Tensor(restore(model, ry[None])), Tensor(cl[None])
+        return psnr_y(out, gt), ssim_y(out, gt)
+
+    # grad mode is a process-wide switch: set it once here, so that no pool
+    # thread can restore it to "on" while another is still restoring
+    with no_grad():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                scores = list(pool.map(score, pairs))
+        else:
+            scores = [score(p) for p in pairs]
+    psnrs, ssims = zip(*scores)
     return float(np.mean(psnrs)), float(np.mean(ssims))

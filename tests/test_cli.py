@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from freqmamba import cli
 from freqmamba import model as M
 from freqmamba import tensor as T
-from freqmamba.errors import ConfigError
+from freqmamba import training as TR
+from freqmamba.errors import ConfigError, FreqMambaError
 from freqmamba.ppm import read_ppm, write_ppm
 from freqmamba.tensor import Tensor
 
@@ -51,6 +54,23 @@ def test_ppm_roundtrip_bit_exact(tmp_path):
     img = read_ppm(p1)
     write_ppm(img, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=64),
+                 st.binary(max_size=48).map(lambda b: b"P6\n" + b),
+                 st.lists(st.sampled_from([b"1", b"2", b"255", b"-1", b"0", b"x", b"#c\n", b" ",
+                                           b"\n", b"\xff"]), max_size=8)
+                 .map(lambda parts: b"P6 " + b"".join(parts) + b"\n" + bytes(12))))
+def test_ppm_fuzz_loads_or_raises_package_error(tmp_path, blob):
+    p = tmp_path / "f.ppm"
+    p.write_bytes(blob)
+    try:
+        img = read_ppm(p)
+    except FreqMambaError:
+        return
+    assert img.data.ndim == 4 and img.data.shape[1] == 3
 
 
 def test_ppm_reads_comments(tmp_path):
@@ -147,6 +167,78 @@ def test_cmd_eval_runs(tmp_path, capsys):
     assert cli.main(["eval", str(ckpt), str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "mean PSNR" in out and "mean SSIM" in out
+
+
+TINY_MC = M.ModelConfig(base_channels=4, channel_multipliers=(1, 1, 1, 1), state_dim=2)
+
+
+def tiny_checkpoint(path, seed=0):
+    """A small model whose head is not zero, so that it changes its input."""
+    model = M.build(TINY_MC, seed=seed)
+    model.head.w.data = np.random.default_rng(seed + 1).normal(0, 0.05, model.head.w.data.shape)
+    M.save(model, path)
+    return M.load(path)
+
+
+def write_pairs(folder, n, size):
+    for sub in ("rainy", "clean"):
+        (folder / sub).mkdir(parents=True, exist_ok=True)
+    for i in range(n):
+        write_image(folder / "rainy" / f"{i}.ppm", seed=10 + i, size=size)
+        write_image(folder / "clean" / f"{i}.ppm", seed=20 + i, size=size)
+
+
+def test_cmd_eval_pads_like_infer(tmp_path, capsys):
+    ckpt = tmp_path / "m.fmck"
+    model = tiny_checkpoint(ckpt)
+    write_pairs(tmp_path, 1, (20, 20))
+    assert cli.main(["eval", str(ckpt), str(tmp_path)]) == 0
+    (rainy, clean, _), = TR.load_paired_folder(tmp_path)
+    out, gt = Tensor(TR.restore(model, rainy[None])), Tensor(clean[None])
+    assert not np.array_equal(out.data, rainy[None])
+    assert capsys.readouterr().out == (f"evaluated 1 pairs: mean PSNR {TR.psnr_y(out, gt):.2f} dB, "
+                                       f"mean SSIM {TR.ssim_y(out, gt):.4f}\n")
+
+
+def test_threaded_eval_leaves_grad_mode_on(tmp_path, monkeypatch, capsys):
+    ckpt = tmp_path / "m.fmck"
+    model = tiny_checkpoint(ckpt)
+    write_pairs(tmp_path, 4, (16, 16))
+    monkeypatch.setenv("FREQMAMBA_THREADS", "2")
+    for _ in range(10):
+        assert cli.main(["eval", str(ckpt), str(tmp_path)]) == 0
+    assert T._grad_enabled
+    before = {k: p.data.copy() for k, p in model.named_params().items()}
+    tc = TR.TrainConfig(total_iters=1, progressive=((16, 1),), n_images=1, image_size=16)
+    TR.train(model, tc, model.config)
+    assert all(not np.array_equal(p.data, before[k]) for k, p in model.named_params().items())
+
+
+def _fmck_with_config_text(path, text: bytes):
+    """Rewrite a checkpoint's config blob, keeping its parameter records."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + n:])
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("ppm", b"P6\nab 4\n255\n"),
+    ("ppm", b"P6\n0 4\n255\n"),
+    ("fmck", b"[model]\nbase_channels = x\n"),
+    ("fmck", TINY_MC.canonical_text().encode() + b"[state]\niteration = two\n"),
+    ("fmck", b"[model]\nbase_channels = \xff\xfe\n"),
+], ids=["ppm_header_not_digits", "ppm_zero_width", "fmck_config_value", "fmck_iteration", "fmck_not_utf8"])
+def test_bad_input_exits_2(tmp_path, capsys, kind, payload):
+    ckpt, img = tmp_path / "m.fmck", tmp_path / "in.ppm"
+    tiny_checkpoint(ckpt)
+    write_image(img, seed=5)
+    if kind == "ppm":
+        img.write_bytes(payload)
+    else:
+        _fmck_with_config_text(ckpt, payload)
+    assert cli.main(["infer", str(ckpt), str(img), str(tmp_path / "out.ppm")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(img if kind == "ppm" else ckpt) in err
 
 
 def test_cmd_train_end_to_end(tmp_path, capsys):

@@ -148,21 +148,6 @@ def test_checkpoint_forward_within_cast_error(tmp_path):
     np.testing.assert_allclose(y1, y2, atol=1e-6)
 
 
-def test_checkpoint_with_optimizer_state(tmp_path):
-    m = M.build(DESK, seed=11)
-    params = m.named_params()
-    name0 = next(iter(params))
-    opt = {f"{name0}.m": np.full(params[name0].data.shape, 0.5),
-           f"{name0}.v": np.full(params[name0].data.shape, 0.25),
-           "t": np.array([7.0])}
-    path = tmp_path / "m.fmck"
-    M.save(m, path, opt_state=opt)
-    m2 = M.load(path)
-    assert m2.opt_state is not None
-    np.testing.assert_array_equal(m2.opt_state[f"{name0}.m"], opt[f"{name0}.m"])
-    assert m2.opt_state["t"][0] == 7.0
-
-
 def test_checkpoint_magic_error(tmp_path):
     path = tmp_path / "bad.fmck"
     path.write_bytes(b"XXXX" + b"\x00" * 64)

@@ -201,15 +201,11 @@ def test_backward_rejects_nonscalar():
 
 
 def test_tape_topological_order():
-    x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-    y = T.mul(T.add(x, x), x)
-    loss = T.sum_all(y)
-    tape = T.Tape.trace(loss)
-    pos = {id(n): i for i, n in enumerate(tape.nodes)}
-    for node in tape.nodes:
-        for p in node.parents:
-            if p.requires_grad:
-                assert pos[id(p)] < pos[id(node)]
+    # diamond: x feeds mul directly and through add(x, x); a sweep that ran
+    # add's rule before mul's would miss add's share and give 2x, not 4x
+    x = Tensor(np.array([[[[-1.5, 0.5], [2.0, 3.0]]]]), requires_grad=True)
+    backward(T.sum_all(T.mul(T.add(x, x), x)))
+    np.testing.assert_array_equal(x.grad, 4.0 * x.data)
 
 
 def test_grad_accumulates_across_uses():

@@ -200,7 +200,7 @@ def test_train_smoke_and_log_identity(tmp_path):
         assert np.isfinite(row["l_total"])
         recomposed = row["l_spa"] + 0.05 * row["l_amp"] + 0.05 * row["l_pha"]
         assert abs(row["l_total"] - recomposed) < 1e-9
-    assert rows[0]["lr"] == pytest.approx(3e-4)
+    assert rows[0]["lr"] == pytest.approx(tc.lr_init)
     assert rows[-1]["lr"] >= 1e-6
     lines = [l for l in log.read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == len(rows)
