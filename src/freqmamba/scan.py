@@ -188,12 +188,15 @@ def _time_blocks(l_: int, step_bytes: int) -> list[tuple[int, int]]:
     return [(t0, min(t0 + q, l_)) for t0 in range(0, l_, q)]
 
 
-def _scan_forward(u, a_log, wb, wc, wd, db):
+def _scan_forward(u, a_log, wb, wc, wd, db, keep):
     """u: (G, N, L, C); params stacked over G.  Returns readout y and cache.
 
     Projections run as batched matmuls.  The per-step state update is the only
     sequential part; it runs block by block over time, and each block's decays
-    and states are built, swept and read out while still in cache.
+    and states are built, swept and read out while still in cache.  With
+    ``keep`` false no backward will run: the decays and states live in one
+    block-sized buffer, only the last state is carried into the next block,
+    and the cache is None.  The per-step arithmetic is the same either way.
     """
     g_, n_, l_, c_ = u.shape
     s_ = a_log.shape[-1]
@@ -206,22 +209,30 @@ def _scan_forward(u, a_log, wb, wc, wd, db):
     dl = delta.transpose(2, 0, 1)[:, :, :, None, None]          # (L, G, N, 1, 1)
     u_t = u.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1)
     b_t = b.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, S)
-    abar = np.empty((l_, g_, n_, c_, s_))                        # exp(delta * A)
-    hs = np.empty_like(abar)                                     # h_t for every t
+    blocks = _time_blocks(l_, g_ * n_ * c_ * s_ * 8)
+    rows = l_ if keep else blocks[0][1]
+    abar = np.empty((rows, g_, n_, c_, s_))                      # exp(delta * A)
+    hs = np.empty_like(abar)                                     # h_t
     cc_t = cc.transpose(2, 0, 1, 3)[..., None]                   # (L, G, N, S, 1)
     y = np.empty((g_, n_, l_, c_))
     y_t = y.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1) view
     tmp = np.empty_like(abar[0])
-    for t0, t1 in _time_blocks(l_, abar[0].nbytes):
-        np.multiply(dl[t0:t1], a[None, :, None], out=abar[t0:t1])
-        np.exp(abar[t0:t1], out=abar[t0:t1])
-        np.multiply(dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], out=hs[t0:t1])  # B_bar u_t
-        t = max(t0, 1)
-        for a_t, h_prev, h_t in zip(abar[t:t1], hs[t - 1:t1 - 1], hs[t:t1]):
+    h_last = np.empty_like(abar[0])                              # h_{t0 - 1}
+    for t0, t1 in blocks:
+        lo = t0 if keep else 0
+        ab, h = abar[lo:lo + t1 - t0], hs[lo:lo + t1 - t0]
+        np.multiply(dl[t0:t1], a[None, :, None], out=ab)
+        np.exp(ab, out=ab)
+        np.multiply(dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], out=h)  # B_bar u_t
+        if t0:
+            np.multiply(ab[0], h_last, out=tmp)
+            np.add(h[0], tmp, out=h[0])
+        for a_t, h_prev, h_t in zip(ab[1:], h[:-1], h[1:]):
             np.multiply(a_t, h_prev, out=tmp)
             np.add(h_t, tmp, out=h_t)
-        np.matmul(hs[t0:t1], cc_t[t0:t1], out=y_t[t0:t1])           # sum over s
-    cache = (u, b, cc, z, delta, a, abar, hs, wb, wc, wd, a_log)
+        np.copyto(h_last, h[-1])
+        np.matmul(h, cc_t[t0:t1], out=y_t[t0:t1])                  # sum over s
+    cache = (u, b, cc, z, delta, a, abar, hs, wb, wc, wd, a_log) if keep else None
     return y, cache
 
 
@@ -311,8 +322,9 @@ def selective_scan(u: Tensor, params: SsmParams) -> Tensor:
     dyn = params.dynamics
     if dyn.A_log.data.shape[0] != c_:
         raise ShapeError(f"params built for C={dyn.A_log.data.shape[0]}, sequence has C={c_}")
+    parents = (u, *dyn.tensors(), params.D)
     stacked = _stack_dynamics([dyn])
-    y, cache = _scan_forward(u.data[None, None], *stacked)
+    y, cache = _scan_forward(u.data[None, None], *stacked, T.records(parents))
     out = y[0, 0] + params.D.data[None, :] * u.data
 
     def rule(g):
@@ -321,7 +333,6 @@ def selective_scan(u: Tensor, params: SsmParams) -> Tensor:
         du = du[0, 0] + g * params.D.data[None, :]
         return (du, da_log[0], dwb[0], dwc[0], dwd[0], ddb[0].reshape(()), dd)
 
-    parents = (u, *dyn.tensors(), params.D)
     return make_node(out, parents, rule, "selective_scan")
 
 
@@ -345,8 +356,11 @@ def scan2d(f: Tensor, params: Scan2dParams, orders: list[ScanOrder]) -> Tensor:
 
     flat = f.data.reshape(n, c, h * w)
     u = np.stack([flat[:, :, p] for p in perms]).transpose(0, 1, 3, 2)  # (G, N, L, C)
+    parents = [f]
+    for d in params.directions:
+        parents.extend(d.tensors())
     stacked = _stack_dynamics(params.directions)
-    y, cache = _scan_forward(u, *stacked)
+    y, cache = _scan_forward(u, *stacked, T.records(parents))
 
     acc = np.zeros((n, c, h * w))
     for g_i, p in enumerate(perms):
@@ -365,9 +379,6 @@ def scan2d(f: Tensor, params: Scan2dParams, orders: list[ScanOrder]) -> Tensor:
             grads.extend((da_log[g_i], dwb[g_i], dwc[g_i], dwd[g_i], ddb[g_i].reshape(())))
         return tuple(grads)
 
-    parents = [f]
-    for d in params.directions:
-        parents.extend(d.tensors())
     node = make_node(readout, tuple(parents), rule, "scan2d")
     return T.add(node, T.channel_scale(f, params.skip))
 

@@ -8,6 +8,7 @@ output gradient to per-parent gradients.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -68,10 +69,15 @@ class Tensor:
         return scale(self, -1.0)
 
 
+def records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` is put on the tape (so its backward can run)."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_node(data, parents: Sequence[Tensor], backward_rule, op: str) -> Tensor:
     """Create an op output; records the rule only if gradients are live."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out.parents = tuple(parents)
         out.backward_rule = backward_rule
@@ -447,9 +453,13 @@ def load_ftd1(path) -> Tensor:
     if len(blob) < 20:
         raise TruncatedError(f"{path}: header truncated at {len(blob)} bytes")
     dims = struct.unpack("<4I", blob[4:20])
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # Python ints: four large u32 dims must not wrap
     expected = 20 + 4 * count
     if len(blob) < expected:
         raise TruncatedError(f"{path}: expected {expected} bytes for dims {dims}, got {len(blob)}")
-    data = np.frombuffer(blob[20:expected], dtype="<f4").astype(np.float64).reshape(dims)
+    data = np.frombuffer(blob[20:expected], dtype="<f4").astype(np.float64)
+    try:
+        data = data.reshape(dims)
+    except ValueError:  # a 0 dim beside dims whose product numpy cannot index
+        raise MagicError(f"{path}: dims {dims} are too large for an array") from None
     return Tensor(data)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def test_selective_scan_stability_bound():
         p = make_params(4, 8, seed=seed)
         u = np.clip(rng.normal(size=(128, 4)), -1, 1)
         stacked = S._stack_dynamics([p.dynamics])
-        y, cache = S._scan_forward(u[None, None], *stacked)
+        y, cache = S._scan_forward(u[None, None], *stacked, True)
         abar, hs = cache[6], cache[7]
         # recompute B_bar*u from the cache pieces
         delta, b = cache[4], cache[1]
@@ -224,9 +225,9 @@ def test_scan2d_constant_image_directional_symmetry():
 
     u = f.data.reshape(1, c, 16)[:, :, order.forward].transpose(0, 2, 1)[None]
     stacked = S._stack_dynamics([dyn])
-    y_fwd, _ = S._scan_forward(u, *stacked)
+    y_fwd, _ = S._scan_forward(u, *stacked, False)
     u_rev = u[:, :, ::-1]
-    y_rev, _ = S._scan_forward(u_rev, *stacked)
+    y_rev, _ = S._scan_forward(u_rev, *stacked, False)
     np.testing.assert_allclose(y_fwd, y_rev, atol=1e-12)
 
     p = S.Scan2dParams((dyn, dyn), Tensor(np.zeros(c)))
@@ -268,6 +269,38 @@ def test_scan2d_grad_check():
         return T.sum_all(T.mul(S.scan2d(f, p2, orders), Tensor(proj)))
 
     assert grad_check(loss_skip, p.skip) < 1e-5
+
+
+def test_scan_forward_without_history_is_bit_identical():
+    g, n, c, s = 2, 3, 8, 8
+    q = S._time_blocks(1 << 16, g * n * c * s * 8)[0][1]  # steps per time block
+    rng = np.random.default_rng(23)
+    stacked = S._stack_dynamics([S.init_dynamics(c, s, rng) for _ in range(g)])
+    for l_ in (1, q - 1, q, q + 1, 3 * q + 5):
+        u = rng.normal(size=(g, n, l_, c))
+        y_keep, cache = S._scan_forward(u, *stacked, True)
+        y_free, none = S._scan_forward(u, *stacked, False)
+        assert none is None and cache[7].shape == (l_, g, n, c, s)
+        assert np.array_equal(y_free, y_keep), l_
+
+
+def test_scan2d_no_grad_keeps_no_history():
+    # Under no_grad scan2d holds a few (G, N, L, C)-sized arrays (the stacked
+    # sequences, their B and C projections, the readout) and two time-block
+    # buffers.  The full decay and state history would add 2 * G * S = 32
+    # input sizes on its own.
+    c, s, hw = 8, 8, 128
+    rng = np.random.default_rng(24)
+    f = Tensor(rng.normal(size=(1, c, hw, hw)))
+    p = S.init_scan2d_params(c, s, 2, rng)
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            S.scan2d(f, p, [S.order_raster(hw, hw, "row_fwd")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * f.data.nbytes, peak / f.data.nbytes
 
 
 # ---------------------------------------------------------------------------

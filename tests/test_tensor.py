@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from freqmamba.errors import MagicError, ShapeError, TruncatedError
+from freqmamba.errors import FreqMambaError, MagicError, ShapeError, TruncatedError
 from freqmamba import tensor as T
 from freqmamba.tensor import Tensor, backward, grad_check
 
@@ -310,3 +312,35 @@ def test_ftd1_truncated(tmp_path):
     p.write_bytes(blob[:-8])
     with pytest.raises(TruncatedError):
         T.load_ftd1(p)
+
+
+@pytest.mark.parametrize("dims, error", [
+    ((2**32 - 1,) * 4, TruncatedError),   # the element count overflows 64 bits:
+    ((2**16,) * 4, TruncatedError),       # it must not wrap into a small size
+    ((0, 2**32 - 1, 2**32 - 1, 1), MagicError),  # 0 elements, but no such array
+])
+def test_ftd1_huge_dims_rejected(tmp_path, dims, error):
+    p = tmp_path / "huge.ftd1"
+    p.write_bytes(T.FTD1_MAGIC + struct.pack("<4I", *dims) + bytes(16))
+    with pytest.raises(error):
+        T.load_ftd1(p)
+
+
+_ftd1_dim = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=40),
+                 st.binary(max_size=40).map(lambda b: T.FTD1_MAGIC + b),
+                 st.tuples(st.tuples(_ftd1_dim, _ftd1_dim, _ftd1_dim, _ftd1_dim),
+                           st.binary(max_size=128))
+                 .map(lambda dp: T.FTD1_MAGIC + struct.pack("<4I", *dp[0]) + dp[1])))
+def test_ftd1_fuzz_loads_or_raises_package_error(tmp_path, blob):
+    p = tmp_path / "f.ftd1"
+    p.write_bytes(blob)
+    try:
+        x = T.load_ftd1(p)
+    except FreqMambaError:
+        return
+    assert x.data.shape == struct.unpack("<4I", blob[4:20])
