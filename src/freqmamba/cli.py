@@ -1,7 +1,7 @@
 """Command-line entry point: train / infer / eval / gradcheck / spectrum-swap / scan-viz.
 
-Exit codes: 0 success, 1 config error, 2 I/O error, 3 numeric failure,
-4 gradcheck failure.  FREQMAMBA_THREADS caps worker parallelism (eval).
+Exit codes: 0 success, 1 config error or out of memory, 2 I/O error,
+3 numeric failure, 4 gradcheck failure.  FREQMAMBA_THREADS caps eval workers.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def parse_run_config(path) -> dict:
     """Parse the flat sectioned key = value document; unknown keys rejected."""
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     values: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     section = None
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     except (NumericError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except ShapeError as e:
+    except (ShapeError, MemoryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except FreqMambaError as e:

@@ -70,25 +70,15 @@ def order_freq_blocks(h: int, w: int, k: int) -> ScanOrder:
     """Frequency-ordered traversal of a level-k wavelet packet mosaic.
 
     Quadrant blocks are visited LL, LH, HL, HH, recursively down to the
-    4**k tiles, then row-major inside each tile, giving a strict
-    low-to-high frequency sequence.
+    4**k tiles, then row-major inside each tile (a stable sort of the tile
+    ranks), giving a strict low-to-high frequency sequence.
     """
-    if k < 1:
-        raise ShapeError(f"order_freq_blocks requires k >= 1, got {k}")
+    if k < 1 or h < 1 or w < 1:
+        raise ShapeError(f"order_freq_blocks requires H, W, k >= 1, got {h}x{w}, k = {k}")
     side = 2 ** k
     if h % side or w % side:
         raise ShapeError(f"order_freq_blocks level {k} requires H and W divisible by {side}, got {h}x{w}")
-    th, tw = h // side, w // side
-    idx = np.empty(h * w, dtype=np.int64)
-    pos = 0
-    for band in range(4 ** k):
-        r, c = wavelet.band_tile(band, k)
-        rows = np.arange(r * th, (r + 1) * th)
-        cols = np.arange(c * tw, (c + 1) * tw)
-        tile = (rows[:, None] * w + cols[None, :]).reshape(-1)
-        idx[pos:pos + tile.size] = tile
-        pos += tile.size
-    return ScanOrder(f"freq_blocks_k{k}", idx)
+    return ScanOrder(f"freq_blocks_k{k}", np.argsort(tile_rank_map(h, w, k).reshape(-1), kind="stable"))
 
 
 def tile_rank_map(h: int, w: int, k: int) -> np.ndarray:
@@ -297,7 +287,8 @@ def _scan_backward(dy, cache):
     dwc = np.matmul(dcc.transpose(0, 2, 1), u2)
     du += np.matmul(dcc, wc).reshape(g_, n_, l_, c_)
     dz = ddelta * _sigmoid(z)
-    dwd = np.einsum("gnl,gnlc->gc", dz, u)
+    # reduced over u in (G, L, N, C) memory, as the seed-1 loss traces were
+    dwd = np.einsum("gln,glnc->gc", dz.transpose(0, 2, 1), np.ascontiguousarray(u.transpose(0, 2, 1, 3)))
     ddb = dz.sum(axis=(1, 2))
     du += dz[..., None] * wd[:, None, None, :]
     return du, da_log, dwb, dwc, dwd, ddb
@@ -354,27 +345,35 @@ def scan2d(f: Tensor, params: Scan2dParams, orders: list[ScanOrder]) -> Tensor:
         perms.append(order.forward)
         perms.append(order.forward[::-1])
 
-    flat = f.data.reshape(n, c, h * w)
-    u = np.stack([flat[:, :, p] for p in perms]).transpose(0, 1, 3, 2)  # (G, N, L, C)
+    invs = [np.empty_like(p) for p in perms]
+    for p, inv in zip(perms, invs):
+        inv[p] = np.arange(p.size)
+
+    def gather(m):
+        """(N, C, H, W) map -> (G, N, L, C) sequences, one row take per direction."""
+        rows = np.ascontiguousarray(m.reshape(n, c, h * w).transpose(0, 2, 1))
+        seq = np.empty((len(perms), n, h * w, c))
+        for s, p in zip(seq, perms):
+            np.take(rows, p, axis=1, out=s, mode="clip")  # "clip": no buffered copy
+        return seq
+
+    def scatter(seq):
+        """Adjoint of gather: each direction's sequence put back in place, summed."""
+        out, rows = np.zeros((n, c, h * w)), np.empty((n, h * w, c))
+        for s, inv in zip(seq, invs):
+            out += np.take(s, inv, axis=1, out=rows, mode="clip").transpose(0, 2, 1)
+        return out.reshape(n, c, h, w)
+
     parents = [f]
     for d in params.directions:
         parents.extend(d.tensors())
     stacked = _stack_dynamics(params.directions)
-    y, cache = _scan_forward(u, *stacked, T.records(parents))
-
-    acc = np.zeros((n, c, h * w))
-    for g_i, p in enumerate(perms):
-        acc[:, :, p] += y[g_i].transpose(0, 2, 1)
-    readout = acc.reshape(n, c, h, w)
+    y, cache = _scan_forward(gather(f.data), *stacked, T.records(parents))
+    readout = scatter(y)
 
     def rule(g):
-        gf = g.reshape(n, c, h * w)
-        dy = np.stack([gf[:, :, p] for p in perms]).transpose(0, 1, 3, 2)
-        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(dy, cache)
-        dacc = np.zeros((n, c, h * w))
-        for g_i, p in enumerate(perms):
-            dacc[:, :, p] += du[g_i].transpose(0, 2, 1)
-        grads = [dacc.reshape(n, c, h, w)]
+        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(gather(g), cache)
+        grads = [scatter(du)]
         for g_i in range(len(perms)):
             grads.extend((da_log[g_i], dwb[g_i], dwc[g_i], dwd[g_i], ddb[g_i].reshape(())))
         return tuple(grads)

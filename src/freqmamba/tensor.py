@@ -350,32 +350,32 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     ho = (h + 2 * padding - k) // stride + 1
     wo = (w + 2 * padding - k) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     cg = c_in // groups
     og = c_out // groups
-    wing = win.reshape(n, groups, cg, ho, wo, k, k)
-    kg = kernel.data.reshape(groups, og, cg, k, k)
-    y = np.einsum("ngcyxij,gocij->ngoyx", wing, kg, optimize=True)
-    y = y.reshape(n, c_out, ho, wo) + bias.data[None, :, None, None]
-
-    hp, wp = xp.shape[2], xp.shape[3]
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = xp.shape[2:]
+    xf = xp.reshape(n, groups, cg, hp * wp)
+    kd = kernel.data.reshape(groups, og, cg, k, k)
+    # Tap (i, j) of output pixel (r, q) is flat padded pixel i*wp + j + stride*(r*wp + q): one GEMM per
+    # tap on a strided view over an (ho, wp) grid, whose columns q >= wo are dropped; no im2col buffer.
+    m = (ho - 1) * wp + wo
+    taps = [(i, j, np.s_[..., i * wp + j:i * wp + j + stride * (m - 1) + 1:stride])
+            for i in range(k) for j in range(k)]
+    grid, prod = np.zeros((n, groups, og, ho * wp)), np.empty((n, groups, og, m))
+    for i, j, win in taps:
+        grid[..., :m] += np.matmul(kd[..., i, j], xf[win], out=prod)
+    y = grid.reshape(n, c_out, ho, wp)[..., :wo] + bias.data[None, :, None, None]
 
     def rule(g):
-        gr = g.reshape(n, groups, og, ho, wo)
-        dk = np.einsum("ngoyx,ngcyxij->gocij", gr, wing, optimize=True).reshape(c_out, cg, k, k)
-        db = g.sum(axis=(0, 2, 3))
-        dxp = np.zeros((n, c_in, hp, wp))
-        dxg = dxp.reshape(n, groups, cg, hp, wp)
-        for i in range(k):
-            for j in range(k):
-                patch = np.einsum("ngoyx,goc->ngcyx", gr, kg[:, :, :, i, j], optimize=True)
-                dxg[:, :, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += patch
-        if padding:
-            dx = dxp[:, :, padding:padding + h, padding:padding + w]
-        else:
-            dx = dxp
-        return (dx, dk, db)
+        gp = np.pad(g.reshape(n, groups, og, ho, wo), [(0, 0)] * 4 + [(0, wp - wo)])
+        gm = gp.reshape(n, groups, og, ho * wp)[..., :m]  # zero off the valid columns
+        dk = np.empty((groups, og, cg, k, k))
+        dxf = np.zeros(xf.shape)
+        for i, j, win in taps:
+            dk[..., i, j] = np.matmul(gm, xf[win].swapaxes(-1, -2)).sum(axis=0)
+            dxf[win] += np.matmul(kd[..., i, j].swapaxes(-1, -2), gm)
+        dx = dxf.reshape(xp.shape)[:, :, padding:padding + h, padding:padding + w]
+        return (dx, dk.reshape(kernel.data.shape), g.sum(axis=(0, 2, 3)))
 
     return make_node(y, (x, kernel, bias), rule, "conv2d")
 
@@ -391,15 +391,16 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"pointwise_conv channel mismatch: input C={x.data.shape[1]}, weight C_in={c_in}")
     if bias.data.shape != (c_out,):
         raise ShapeError(f"bias must have shape ({c_out},), got {bias.data.shape}")
+    n, _, h, w = x.data.shape
     wm = weight.data[:, :, 0, 0]
     xd = x.data
-    y = np.einsum("nchw,oc->nohw", xd, wm, optimize=True) + bias.data[None, :, None, None]
+    y = np.matmul(wm, xd.reshape(n, c_in, h * w)).reshape(n, c_out, h, w) + bias.data[None, :, None, None]
 
     def rule(g):
-        dx = np.einsum("nohw,oc->nchw", g, wm, optimize=True)
-        dw = np.einsum("nohw,nchw->oc", g, xd, optimize=True)[:, :, None, None]
-        db = g.sum(axis=(0, 2, 3))
-        return (dx, dw, db)
+        gr = g.reshape(n, c_out, h * w)
+        dx = np.matmul(wm.T, gr).reshape(xd.shape)
+        dw = np.matmul(gr, xd.reshape(n, c_in, h * w).transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
+        return (dx, dw, g.sum(axis=(0, 2, 3)))
 
     return make_node(y, (x, weight, bias), rule, "pointwise_conv")
 

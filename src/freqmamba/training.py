@@ -79,25 +79,25 @@ def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
     return k / k.sum()
 
 
+def _filter_valid(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Separable 'valid' filter of (N, H, W) maps, one shifted view per tap: no window buffer."""
+    ho, wo = x.shape[1] - g.size + 1, x.shape[2] - g.size + 1
+    rows = sum(g[j] * x[:, :, j:j + wo] for j in range(g.size))
+    return sum(g[i] * rows[:, i:i + ho] for i in range(g.size))
+
+
 def ssim_y(a: Tensor, b: Tensor, size: int = 11, sigma: float = 1.5,
            k1: float = 0.01, k2: float = 0.03) -> float:
     """Mean local SSIM over valid Gaussian windows on the Y channel."""
     ya, yb = _luma(a), _luma(b)
     if ya.shape[1] < size or ya.shape[2] < size:
         raise ShapeError(f"image {ya.shape[1:]} smaller than the {size}x{size} SSIM window")
-    win = gaussian_window(size, sigma)
+    g = gaussian_window(size, sigma).sum(axis=0)  # the window's separable 1-D factor
     c1, c2 = (k1 * 1.0) ** 2, (k2 * 1.0) ** 2
-
-    def stats(x):
-        v = np.lib.stride_tricks.sliding_window_view(x, (size, size), axis=(1, 2))
-        return v
-
-    wa, wb = stats(ya), stats(yb)
-    mu_a = np.einsum("nhwij,ij->nhw", wa, win, optimize=True)
-    mu_b = np.einsum("nhwij,ij->nhw", wb, win, optimize=True)
-    aa = np.einsum("nhwij,ij->nhw", wa * wa, win, optimize=True) - mu_a ** 2
-    bb = np.einsum("nhwij,ij->nhw", wb * wb, win, optimize=True) - mu_b ** 2
-    ab = np.einsum("nhwij,ij->nhw", wa * wb, win, optimize=True) - mu_a * mu_b
+    mu_a, mu_b = _filter_valid(ya, g), _filter_valid(yb, g)
+    aa = _filter_valid(ya * ya, g) - mu_a ** 2
+    bb = _filter_valid(yb * yb, g) - mu_b ** 2
+    ab = _filter_valid(ya * yb, g) - mu_a * mu_b
     num = (2 * mu_a * mu_b + c1) * (2 * ab + c2)
     den = (mu_a ** 2 + mu_b ** 2 + c1) * (aa + bb + c2)
     return float(np.mean(num / den))

@@ -267,6 +267,35 @@ def test_exit_codes(tmp_path):
     assert cli.main(["train", "--config", str(cfg)]) == 1
 
 
+def test_train_config_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"\xff\xfe[model]\nbase_channels = 4\n")
+    with pytest.raises(ConfigError, match="utf-8"):
+        cli.parse_run_config(cfg)
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("h, w", [(0, 4), (4, 0), (-2, 4)])
+def test_scan_viz_empty_size_exits_1(tmp_path, capsys, h, w):
+    prefix = tmp_path / "viz"
+    assert cli.main(["scan-viz", str(h), str(w), "1", str(prefix)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "viz_order.txt").exists()
+
+
+def test_scan_viz_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # stands in for H = W = 100000, whose 74.5 GiB index array numpy refuses
+    def refuse(h, w, k):
+        raise MemoryError(f"Unable to allocate 74.5 GiB for an order of {h}x{w} pixels")
+
+    monkeypatch.setattr(cli.S, "order_freq_blocks", refuse)
+    assert cli.main(["scan-viz", "100000", "100000", "1", str(tmp_path / "viz")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and len(err.splitlines()) == 1
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("FREQMAMBA_THREADS", raising=False)
     assert cli.worker_count() == 1

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from freqmamba import scan as S
@@ -282,6 +282,72 @@ def test_scan_forward_without_history_is_bit_identical():
         y_free, none = S._scan_forward(u, *stacked, False)
         assert none is None and cache[7].shape == (l_, g, n, c, s)
         assert np.array_equal(y_free, y_keep), l_
+
+
+# Differential tests of the blocked kernel against the step-by-step loop, with
+# G = N = C = S = 1.  The time block is cut to Q steps so that sequences of
+# Q - 1 and Q + 1 steps (and a few blocks) stay cheap for the Python loop.
+Q = 7
+SCAN_LENGTHS = [1, 2, 13, Q - 1, Q + 1, 3 * Q + 2]
+
+
+def unit_scan_case(l_, log_delta, a_log, proj, seed):
+    """Arrays for one G = N = C = S = 1 scan whose step size is near 10**log_delta.
+
+    |u| <= 1 and |proj_delta| <= 1 keep delta within a factor of about e of it;
+    with delta near 50 and A = -exp(a_log) near -20, A_bar = exp(delta * A)
+    underflows to 0.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, (l_, 1))
+    db = float(np.log(np.expm1(10.0 ** log_delta)))  # inverse softplus
+    wb, wc, wd = (np.array([[v]]) for v in proj)
+    return u, np.array([[a_log]]), wb, wc, wd[0], db
+
+
+def kernel_args(a_log, wb, wc, wd, db):
+    return a_log[None], wb[None], wc[None], wd[None], np.array([db])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(l_=st.sampled_from(SCAN_LENGTHS), log_delta=st.floats(-4.0, np.log10(50.0)),
+       a_log=st.floats(-2.0, 3.0), proj=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       seed=st.integers(0, 2 ** 16))
+def test_scan_forward_matches_naive_loop(monkeypatch, l_, log_delta, a_log, proj, seed):
+    monkeypatch.setattr(S, "_BLOCK_BYTES", 8 * Q)
+    assert S._time_blocks(100, 8)[0] == (0, Q)
+    u, a, wb, wc, wd, db = unit_scan_case(l_, log_delta, a_log, proj, seed)
+    want = naive_selective_scan(u, a, wb, wc, wd, db, np.zeros(1))
+    for keep in (True, False):
+        y, _ = S._scan_forward(u[None, None], *kernel_args(a, wb, wc, wd, db), keep)
+        np.testing.assert_allclose(y[0, 0], want, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(l_=st.sampled_from([1, 2, 5, Q - 1, Q + 1]), log_delta=st.floats(-4.0, np.log10(50.0)),
+       a_log=st.floats(-2.0, 3.0), proj=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       seed=st.integers(0, 2 ** 16))
+def test_scan_backward_matches_naive_loop_differences(monkeypatch, l_, log_delta, a_log, proj, seed):
+    # every gradient of sum(dy * y) against central differences of the loop
+    monkeypatch.setattr(S, "_BLOCK_BYTES", 8 * Q)
+    u, a, wb, wc, wd, db = unit_scan_case(l_, log_delta, a_log, proj, seed)
+    dy = np.random.default_rng(seed + 1).normal(size=(l_, 1))
+    _, cache = S._scan_forward(u[None, None], *kernel_args(a, wb, wc, wd, db), True)
+    du, da_log, dwb, dwc, dwd, ddb = S._scan_backward(dy[None, None], cache)
+    args = [u, a, wb, wc, wd, np.array([db])]
+    grads = [du[0, 0], da_log[0], dwb[0], dwc[0], dwd[0], ddb]
+
+    def loss(i, idx, step):
+        moved = [x.copy() for x in args]
+        moved[i][idx] += step
+        y = naive_selective_scan(*moved[:5], float(moved[5][0]), np.zeros(1))
+        return float((dy * y).sum())
+
+    for i, grad in enumerate(grads):
+        for idx in np.ndindex(args[i].shape):
+            h = 1e-6 * max(1.0, abs(args[i][idx]))
+            fd = (loss(i, idx, h) - loss(i, idx, -h)) / (2 * h)
+            assert abs(grad[idx] - fd) <= 1e-7 * max(1.0, abs(fd)), (i, idx, grad[idx], fd)
 
 
 def test_scan2d_no_grad_keeps_no_history():

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,72 @@ def test_conv2d_stride_output_dims():
     assert y.data.shape == (2, 5, 5, 5)
 
 
+def conv2d_loops(x, k, b, g, stride, padding, groups):
+    """Plain nested sums: y = conv2d(x, k, b), and dx, dk, db of sum(g * y)."""
+    n, c_in, h, w = x.shape
+    c_out, cg, kk, _ = k.shape
+    og = c_out // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kk) // stride + 1
+    wo = (w + 2 * padding - kk) // stride + 1
+    y = np.empty((n, c_out, ho, wo))
+    dxp, dk, db = np.zeros_like(xp), np.zeros_like(k), np.zeros_like(b)
+    for o in range(c_out):
+        ch = slice(o // og * cg, o // og * cg + cg)
+        for r in range(ho):
+            for q in range(wo):
+                win = (slice(None), ch, slice(r * stride, r * stride + kk),
+                       slice(q * stride, q * stride + kk))
+                for i in range(n):
+                    y[i, o, r, q] = (xp[win][i] * k[o]).sum() + b[o]
+                    dxp[win][i] += g[i, o, r, q] * k[o]
+                    dk[o] += g[i, o, r, q] * xp[win][i]
+                    db[o] += g[i, o, r, q]
+    return y, dxp[:, :, padding:padding + h, padding:padding + w], dk, db
+
+
+def assert_rel(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max(), np.abs(got - want).max()
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("groups, c_out", [(1, 3), (2, 6), (4, 4)])
+def test_conv2d_matches_loop_oracle(k, groups, c_out):
+    # every stride and padding, H != W, against the forward and the adjoint
+    rng = np.random.default_rng(10 * k + groups)
+    x = rng.normal(size=(2, 4, 7, 6))
+    kern = rng.normal(size=(c_out, 4 // groups, k, k))
+    b = rng.normal(size=c_out)
+    for stride in (1, 2):
+        for padding in (0, 1, 2):
+            xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kern, b))
+            y = T.conv2d(xt, kt, bt, stride=stride, padding=padding, groups=groups)
+            g = rng.normal(size=y.data.shape)
+            backward(weighted_sum(y, g))
+            want = conv2d_loops(x, kern, b, g, stride, padding, groups)
+            for got, ref in zip((y.data, xt.grad, kt.grad, bt.grad), want):
+                assert_rel(got, ref)
+
+
+@pytest.mark.parametrize("groups", [1, 8])
+def test_conv2d_no_grad_builds_no_tap_buffer(groups):
+    # the padded input, the output grid, one tap's product and the output make
+    # about 4x the input; a k*k column buffer alone would be 9x
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(1, 8, 128, 128)))
+    k = Tensor(rng.normal(size=(8, 8 // groups, 3, 3)))
+    b = Tensor(np.zeros(8))
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            T.conv2d(x, k, b, padding=1, groups=groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 6 * x.data.nbytes, peak / x.data.nbytes
+
+
 # ---------------------------------------------------------------------------
 # pointwise_conv
 
@@ -85,6 +152,26 @@ def test_pointwise_channel_sum():
     w = Tensor(np.ones((1, 2, 1, 1)))
     y = T.pointwise_conv(x, w, Tensor(np.zeros(1)))
     np.testing.assert_allclose(y.data[0, 0], x.data[0, 0] + x.data[0, 1])
+
+
+def test_pointwise_matches_loop_oracle():
+    rng = np.random.default_rng(12)
+    x, w, b = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(4, 3, 1, 1)), rng.normal(size=4)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    y = T.pointwise_conv(xt, wt, bt)
+    g = rng.normal(size=y.data.shape)
+    backward(weighted_sum(y, g))
+    want_y, want_dx = np.zeros_like(y.data), np.zeros_like(x)
+    want_dw = np.zeros_like(w)
+    for o in range(4):
+        want_y[:, o] = b[o]
+        for c in range(3):
+            want_y[:, o] += w[o, c, 0, 0] * x[:, c]
+            want_dx[:, c] += w[o, c, 0, 0] * g[:, o]
+            want_dw[o, c, 0, 0] = (g[:, o] * x[:, c]).sum()
+    for got, ref in ((y.data, want_y), (xt.grad, want_dx), (wt.grad, want_dw),
+                     (bt.grad, g.sum(axis=(0, 2, 3)))):
+        assert_rel(got, ref)
 
 
 def test_pointwise_channel_mismatch():
