@@ -277,8 +277,11 @@ def main(argv=None) -> int:
     except (NumericError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except (ShapeError, MemoryError) as e:
+    except ShapeError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return 1
     except FreqMambaError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -70,26 +70,21 @@ def order_freq_blocks(h: int, w: int, k: int) -> ScanOrder:
     """Frequency-ordered traversal of a level-k wavelet packet mosaic.
 
     Quadrant blocks are visited LL, LH, HL, HH, recursively down to the
-    4**k tiles, then row-major inside each tile (a stable sort of the tile
-    ranks), giving a strict low-to-high frequency sequence.
+    4**k tiles, then row-major inside each tile, giving a strict
+    low-to-high frequency sequence.
     """
     if k < 1 or h < 1 or w < 1:
         raise ShapeError(f"order_freq_blocks requires H, W, k >= 1, got {h}x{w}, k = {k}")
     side = 2 ** k
     if h % side or w % side:
         raise ShapeError(f"order_freq_blocks level {k} requires H and W divisible by {side}, got {h}x{w}")
-    return ScanOrder(f"freq_blocks_k{k}", np.argsort(tile_rank_map(h, w, k).reshape(-1), kind="stable"))
-
-
-def tile_rank_map(h: int, w: int, k: int) -> np.ndarray:
-    """Recursive frequency rank of the tile containing each pixel (H, W)."""
-    side = 2 ** k
     th, tw = h // side, w // side
-    ranks = np.empty((h, w), dtype=np.int64)
+    tiles = []
     for band in range(4 ** k):
         r, c = wavelet.band_tile(band, k)
-        ranks[r * th:(r + 1) * th, c * tw:(c + 1) * tw] = band
-    return ranks
+        rows, cols = np.arange(r * th, (r + 1) * th), np.arange(c * tw, (c + 1) * tw)
+        tiles.append((rows[:, None] * w + cols[None, :]).reshape(-1))
+    return ScanOrder(f"freq_blocks_k{k}", np.concatenate(tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +282,8 @@ def _scan_backward(dy, cache):
     dwc = np.matmul(dcc.transpose(0, 2, 1), u2)
     du += np.matmul(dcc, wc).reshape(g_, n_, l_, c_)
     dz = ddelta * _sigmoid(z)
-    # reduced over u in (G, L, N, C) memory, as the seed-1 loss traces were
+    # summed over a (G, L, N, C) copy of u, the memory order of the earlier
+    # fancy-index gather, so scan2d's gradients stay bit-identical to it
     dwd = np.einsum("gln,glnc->gc", dz.transpose(0, 2, 1), np.ascontiguousarray(u.transpose(0, 2, 1, 3)))
     ddb = dz.sum(axis=(1, 2))
     du += dz[..., None] * wd[:, None, None, :]

@@ -50,7 +50,7 @@ def test_c1_transform_fidelity():
                   f"wpt roundtrip {rt_w:.2e}, parseval {parseval:.2e}, {dt:.1f}s")
 
 
-def test_c2_scan_correctness():
+def test_c2_scan_correctness(tile_rank_map):
     t0 = time.time()
     sizes = [(1, 1), (1, 7), (3, 5), (8, 8), (16, 8), (17, 13), (32, 32), (64, 64)]
     bijective = True
@@ -87,7 +87,7 @@ def test_c2_scan_correctness():
 
     monotone = True
     for h, w, k in [(8, 8, 1), (16, 16, 2), (64, 64, 2), (64, 64, 3)]:
-        ranks = S.tile_rank_map(h, w, k).reshape(-1)[S.order_freq_blocks(h, w, k).forward]
+        ranks = tile_rank_map(h, w, k).reshape(-1)[S.order_freq_blocks(h, w, k).forward]
         monotone &= bool((np.diff(ranks) >= 0).all())
     dt = time.time() - t0
     ok = bijective and worst < 1e-12 and monotone and dt < 30

@@ -293,7 +293,7 @@ def test_scan_viz_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.S, "order_freq_blocks", refuse)
     assert cli.main(["scan-viz", "100000", "100000", "1", str(tmp_path / "viz")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: Unable to allocate") and len(err.splitlines()) == 1
+    assert err.startswith("out of memory: Unable to allocate") and len(err.splitlines()) == 1
 
 
 def test_worker_count_env(monkeypatch):

@@ -76,11 +76,22 @@ def test_order_freq_blocks_bijection(hwk):
     assert sorted(order.forward.tolist()) == list(range(h * w))
 
 
-def test_order_freq_blocks_rank_monotone():
+def test_order_freq_blocks_rank_monotone(tile_rank_map):
     for h, w, k in [(8, 8, 1), (8, 8, 2), (16, 16, 2), (16, 16, 3), (64, 64, 2)]:
         order = S.order_freq_blocks(h, w, k)
-        ranks = S.tile_rank_map(h, w, k).reshape(-1)[order.forward]
+        ranks = tile_rank_map(h, w, k).reshape(-1)[order.forward]
         assert (np.diff(ranks) >= 0).all(), (h, w, k)
+
+
+def test_order_freq_blocks_row_major_inside_tiles():
+    # k = 1 at 8x16: four 4x8 quadrants LL, LH, HL, HH, each row-major
+    quads = [(0, 0), (0, 8), (4, 0), (4, 8)]
+    want = [r * 16 + c for r0, c0 in quads for r in range(r0, r0 + 4) for c in range(c0, c0 + 8)]
+    assert S.order_freq_blocks(8, 16, 1).forward.tolist() == want
+    # k = 2 at 8x8: 2x2 tiles; LLLL, LLLH, then LL's HL and HH, then LH's LL
+    order = S.order_freq_blocks(8, 8, 2).forward.tolist()
+    assert order[:8] == [0, 1, 8, 9, 2, 3, 10, 11]
+    assert order[8:20] == [16, 17, 24, 25, 18, 19, 26, 27, 4, 5, 12, 13]
 
 
 def test_order_freq_blocks_divisibility_error():
