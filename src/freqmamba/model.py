@@ -44,6 +44,8 @@ class ModelConfig:
             raise ConfigError(f"every stage needs at least one block, got {self.depths}")
         if len(self.channel_multipliers) != 4:
             raise ConfigError(f"channel_multipliers needs 4 entries, got {len(self.channel_multipliers)}")
+        if any(m < 1 for m in self.channel_multipliers):
+            raise ConfigError(f"channel_multipliers must be positive, got {self.channel_multipliers}")
         if self.base_channels < 1 or self.state_dim < 1:
             raise ConfigError("base_channels and state_dim must be positive")
 

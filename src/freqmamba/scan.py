@@ -173,15 +173,26 @@ def _time_blocks(l_: int, step_bytes: int) -> list[tuple[int, int]]:
     return [(t0, min(t0 + q, l_)) for t0 in range(0, l_, q)]
 
 
+def _decays(delta_blk, a, out):
+    """A_bar = exp(delta * A) of one time block, written into ``out``.
+
+    The one expression for the decays: the backward rebuilds them with it, so
+    they are bit-identical to the forward's.
+    """
+    np.multiply(delta_blk[:, :, :, None, None], a[None, :, None], out=out)
+    return np.exp(out, out=out)
+
+
 def _scan_forward(u, a_log, wb, wc, wd, db, keep):
     """u: (G, N, L, C); params stacked over G.  Returns readout y and cache.
 
     Projections run as batched matmuls.  The per-step state update is the only
     sequential part; it runs block by block over time, and each block's decays
-    and states are built, swept and read out while still in cache.  With
-    ``keep`` false no backward will run: the decays and states live in one
-    block-sized buffer, only the last state is carried into the next block,
-    and the cache is None.  The per-step arithmetic is the same either way.
+    and states are built, swept and read out while still in cache.  The decays
+    always live in one block-sized buffer: the backward rebuilds them from the
+    cached delta and A.  With ``keep`` false no backward will run: the states
+    share that fate, only the last state is carried into the next block, and
+    the cache is None.  The per-step arithmetic is the same either way.
     """
     g_, n_, l_, c_ = u.shape
     s_ = a_log.shape[-1]
@@ -191,13 +202,13 @@ def _scan_forward(u, a_log, wb, wc, wd, db, keep):
     z = np.matmul(u2, wd[:, :, None]).reshape(g_, n_, l_) + db[:, None, None]
     delta = _softplus(z)
     a = -np.exp(a_log)  # (G, C, S)
-    dl = delta.transpose(2, 0, 1)[:, :, :, None, None]          # (L, G, N, 1, 1)
+    delta_l = delta.transpose(2, 0, 1)                           # (L, G, N)
+    dl = delta_l[:, :, :, None, None]                            # (L, G, N, 1, 1)
     u_t = u.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1)
     b_t = b.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, S)
     blocks = _time_blocks(l_, g_ * n_ * c_ * s_ * 8)
-    rows = l_ if keep else blocks[0][1]
-    abar = np.empty((rows, g_, n_, c_, s_))                      # exp(delta * A)
-    hs = np.empty_like(abar)                                     # h_t
+    abar = np.empty((blocks[0][1], g_, n_, c_, s_))              # exp(delta * A)
+    hs = np.empty((l_ if keep else blocks[0][1], g_, n_, c_, s_))  # h_t
     cc_t = cc.transpose(2, 0, 1, 3)[..., None]                   # (L, G, N, S, 1)
     y = np.empty((g_, n_, l_, c_))
     y_t = y.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1) view
@@ -205,9 +216,7 @@ def _scan_forward(u, a_log, wb, wc, wd, db, keep):
     h_last = np.empty_like(abar[0])                              # h_{t0 - 1}
     for t0, t1 in blocks:
         lo = t0 if keep else 0
-        ab, h = abar[lo:lo + t1 - t0], hs[lo:lo + t1 - t0]
-        np.multiply(dl[t0:t1], a[None, :, None], out=ab)
-        np.exp(ab, out=ab)
+        ab, h = _decays(delta_l[t0:t1], a, abar[:t1 - t0]), hs[lo:lo + t1 - t0]
         np.multiply(dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], out=h)  # B_bar u_t
         if t0:
             np.multiply(ab[0], h_last, out=tmp)
@@ -217,63 +226,69 @@ def _scan_forward(u, a_log, wb, wc, wd, db, keep):
             np.add(h_t, tmp, out=h_t)
         np.copyto(h_last, h[-1])
         np.matmul(h, cc_t[t0:t1], out=y_t[t0:t1])                  # sum over s
-    cache = (u, b, cc, z, delta, a, abar, hs, wb, wc, wd, a_log) if keep else None
+    cache = (u, b, cc, z, delta, a, hs, wb, wc, wd, a_log) if keep else None
     return y, cache
 
 
 def _scan_backward(dy, cache):
     """Adjoint of _scan_forward; returns du and per-parameter gradients."""
-    u, b, cc, z, delta, a, abar, hs, wb, wc, wd, a_log = cache
+    u, b, cc, z, delta, a, hs, wb, wc, wd, a_log = cache
     g_, n_, l_, c_ = u.shape
     s_ = b.shape[-1]
-    dy_t = dy.transpose(2, 0, 1, 3)[..., None]                   # (L, G, N, C, 1)
-    cc_t = cc.transpose(2, 0, 1, 3)[:, :, :, None, :]            # (L, G, N, 1, S)
+    delta_l = delta.transpose(2, 0, 1)                           # (L, G, N)
+    dy_l = dy.transpose(2, 0, 1, 3)                              # (L, G, N, C)
+    cc_l = cc.transpose(2, 0, 1, 3)                              # (L, G, N, S)
     u_r = u.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, C)
     b_c = b.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, S, 1)
-    dy_r = dy.transpose(2, 0, 1, 3)[:, :, :, None, :]            # (L, G, N, 1, C)
+    dy_r = dy_l[:, :, :, None, :]                                # (L, G, N, 1, C)
+    a_k = a.reshape(g_, c_ * s_, 1)
     dcc = np.empty((l_, g_, n_, 1, s_))
-    # (G, L, N, C, S) in memory: the dA einsum sums in memory order, and this
-    # is the order the loss traces in perfbench/README.md were computed with
-    dabar_abar = np.empty((g_, l_, n_, c_, s_)).transpose(1, 0, 2, 3, 4)
     dbu_u = np.empty((l_, g_, n_, 1, s_))
     du = np.empty((l_, g_, n_, c_, 1))
+    ddelta = np.empty((l_, g_, n_, 1))
+    da = np.zeros((g_, c_ * s_))
     # adjoint recurrence, run backwards one time block at a time: gradient at
     # h_t collects the readout term plus the decayed gradient from h_{t+1}.
     # A_bar = exp(delta*A): d/ddelta = A*A_bar, d/dA = delta*A_bar.  The decay
     # term A_bar[t+1] * gh[t+1] is also gh * A_bar at t+1, so the sweep keeps
-    # it in `dab`; `carry` takes it across a block boundary.
-    blocks = _time_blocks(l_, abar[0].nbytes)
-    dab_blk = np.empty_like(abar[:blocks[0][1]])
+    # it in `dab`; `carry` takes it across a block boundary.  Each block's
+    # decays are rebuilt as the forward built them, and its dA and d(delta)
+    # shares are summed while `dab` is still in cache.
+    blocks = _time_blocks(l_, g_ * n_ * c_ * s_ * 8)
+    ab_blk, gh_blk, dab_blk = (np.empty((blocks[0][1], g_, n_, c_, s_)) for _ in range(3))
     carry = None
     for t0, t1 in reversed(blocks):
+        ab = _decays(delta_l[t0:t1], a, ab_blk[:t1 - t0])
+        gh, dab = gh_blk[:t1 - t0], dab_blk[:t1 - t0]
         np.matmul(dy_r[t0:t1], hs[t0:t1], out=dcc[t0:t1])       # sum over c
-        gh = np.multiply(dy_t[t0:t1], cc_t[t0:t1], order="C")
-        dab = dab_blk[:t1 - t0]
+        np.einsum("qgnc,qgns->qgncs", dy_l[t0:t1], cc_l[t0:t1], out=gh)
         if carry is not None:
             gh[-1] += carry
-        for a_next, g_next, g_t, d_next in zip(abar[t1 - 1:t0:-1], gh[:0:-1], gh[-2::-1], dab[:0:-1]):
+        for a_next, g_next, g_t, d_next in zip(ab[:0:-1], gh[:0:-1], gh[-2::-1], dab[:0:-1]):
             np.multiply(a_next, g_next, out=d_next)
             np.add(g_t, d_next, out=g_t)
         # dA_bar * A_bar via the h_{t-1} factor; zero at t = 0
         if t0:
-            carry = np.multiply(abar[t0], gh[0], out=dab[0]).copy()
-            np.multiply(dab, hs[t0 - 1:t1 - 1], out=dabar_abar[t0:t1])
+            carry = np.multiply(ab[0], gh[0], out=dab[0]).copy()
+            np.multiply(dab, hs[t0 - 1:t1 - 1], out=dab)
         else:
-            dabar_abar[0] = 0.0
-            np.multiply(dab[1:], hs[:t1 - 1], out=dabar_abar[1:t1])
+            dab[0] = 0.0
+            np.multiply(dab[1:], hs[:t1 - 1], out=dab[1:])
+        dab_k = dab.reshape(t1 - t0, g_, n_, c_ * s_)
+        np.matmul(dab_k, a_k, out=ddelta[t0:t1])                 # sum over c, s
+        da += np.einsum("qgnk,qgn->gk", dab_k, delta_l[t0:t1])
         # B_bar*u = delta * B[s] * u[c]
         np.matmul(u_r[t0:t1], gh, out=dbu_u[t0:t1])              # sum over c
         np.matmul(gh, b_c[t0:t1], out=du[t0:t1])                 # sum over s
     dcc = dcc.reshape(l_, g_, n_, s_).transpose(1, 2, 0, 3).reshape(g_, n_ * l_, s_)
     dbu_u = dbu_u.reshape(l_, g_, n_, s_)
     du = du.reshape(l_, g_, n_, c_)
-    ddelta = np.einsum("lgncs,gcs->gnl", dabar_abar, a)
-    da = np.einsum("lgncs,gnl->gcs", dabar_abar, delta)
-    da_log = da * a  # dA/dA_log = -exp(A_log) = A
+    ddelta = ddelta.reshape(l_, g_, n_).transpose(1, 2, 0)
+    da_log = da.reshape(g_, c_, s_) * a  # dA/dA_log = -exp(A_log) = A
     ddelta += np.einsum("lgns,gnls->gnl", dbu_u, b)
-    dbproj = (dbu_u * delta.transpose(2, 0, 1)[..., None]).transpose(1, 2, 0, 3)
+    dbproj = (dbu_u * delta_l[..., None]).transpose(1, 2, 0, 3)
     dbproj = dbproj.reshape(g_, n_ * l_, s_)
-    du *= delta.transpose(2, 0, 1)[..., None]
+    du *= delta_l[..., None]
     du = np.ascontiguousarray(du.transpose(1, 2, 0, 3))           # (G, N, L, C)
     # linear projections (batched matmuls over flattened N*L, as (G, N*L, S) copies)
     u2 = u.reshape(g_, n_ * l_, c_)
@@ -282,9 +297,7 @@ def _scan_backward(dy, cache):
     dwc = np.matmul(dcc.transpose(0, 2, 1), u2)
     du += np.matmul(dcc, wc).reshape(g_, n_, l_, c_)
     dz = ddelta * _sigmoid(z)
-    # summed over a (G, L, N, C) copy of u, the memory order of the earlier
-    # fancy-index gather, so scan2d's gradients stay bit-identical to it
-    dwd = np.einsum("gln,glnc->gc", dz.transpose(0, 2, 1), np.ascontiguousarray(u.transpose(0, 2, 1, 3)))
+    dwd = np.matmul(dz.reshape(g_, 1, n_ * l_), u2).reshape(g_, c_)
     ddb = dz.sum(axis=(1, 2))
     du += dz[..., None] * wd[:, None, None, :]
     return du, da_log, dwb, dwc, dwd, ddb

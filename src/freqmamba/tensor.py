@@ -8,6 +8,7 @@ output gradient to per-parent gradients.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import struct
 from contextlib import contextmanager
@@ -15,21 +16,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MagicError, ShapeError, TruncatedError
+from .errors import FreqMambaError, MagicError, ShapeError, TruncatedError
 
-_grad_enabled = True
+# Per thread (and per asyncio task): a no_grad in one thread leaves another
+# thread's graph recording on.  A new thread starts with recording on.
+_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the context (inference, finite differences)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -71,7 +72,7 @@ class Tensor:
 
 def records(parents: Sequence[Tensor]) -> bool:
     """Whether an op on ``parents`` is put on the tape (so its backward can run)."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
 def make_node(data, parents: Sequence[Tensor], backward_rule, op: str) -> Tensor:
@@ -86,9 +87,17 @@ def make_node(data, parents: Sequence[Tensor], backward_rule, op: str) -> Tensor
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad node reachable from a scalar loss."""
+    """Populate .grad on every requires_grad leaf reachable from a scalar loss.
+
+    The graph is spent as it is swept: once a node's rule has run, its rule,
+    parents and gradient are dropped, so each op's saved arrays are freed as
+    early as possible.  A graph can be backpropagated once; a second call on
+    the same loss raises.
+    """
     if loss.data.shape != ():
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    if loss.requires_grad and loss.op != "leaf" and loss.backward_rule is None:
+        raise FreqMambaError(f"backward on a spent graph: the {loss.op} loss was already backpropagated")
     # depth-first post-order: parents before children, so a single reverse
     # sweep propagates all gradients
     nodes: list[Tensor] = []
@@ -106,17 +115,19 @@ def backward(loss: Tensor) -> None:
         for p in node.parents:
             stack.append((p, False))
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(nodes):
-        if node.backward_rule is None or node.grad is None:
+    while nodes:
+        node = nodes.pop()  # so that a spent node goes once nothing else holds it
+        if node.backward_rule is None:  # a leaf: it keeps its gradient
             continue
-        grads = node.backward_rule(node.grad)
-        for parent, g in zip(node.parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64, copy=True)
-            else:
-                parent.grad = parent.grad + g
+        if node.grad is not None:
+            for parent, g in zip(node.parents, node.backward_rule(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    parent.grad = np.array(g, dtype=np.float64, copy=True)
+                else:
+                    parent.grad = parent.grad + g
+        node.backward_rule, node.parents, node.grad = None, (), None
 
 
 def grad_check(f, x: Tensor, h: float = 1e-5) -> float:

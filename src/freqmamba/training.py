@@ -245,11 +245,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.total_iters < 1:
             raise ConfigError("total_iters must be positive")
+        if self.n_images < 1:
+            raise ConfigError(f"n_images must be positive, got {self.n_images}")
         if not self.progressive:
             raise ConfigError("progressive schedule needs at least one (patch, batch) stage")
         for patch, batch in self.progressive:
-            if patch % 16:
-                raise ConfigError(f"patch sizes must be divisible by 16, got {patch}")
+            if patch < 1 or patch % 16:
+                raise ConfigError(f"patch sizes must be positive and divisible by 16, got {patch}")
             if batch < 1:
                 raise ConfigError(f"batch sizes must be positive, got {batch}")
             if patch > self.image_size:
@@ -368,13 +370,12 @@ def eval_pairs(model: Model, pairs, workers: int = 1) -> tuple[float, float]:
         out, gt = Tensor(restore(model, ry[None])), Tensor(cl[None])
         return psnr_y(out, gt), ssim_y(out, gt)
 
-    # grad mode is a process-wide switch: set it once here, so that no pool
-    # thread can restore it to "on" while another is still restoring
-    with no_grad():
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                scores = list(pool.map(score, pairs))
-        else:
-            scores = [score(p) for p in pairs]
+    # restore enters no_grad in the thread that runs it, and grad mode is per
+    # thread, so the pool needs no switch of its own
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            scores = list(pool.map(score, pairs))
+    else:
+        scores = [score(p) for p in pairs]
     psnrs, ssims = zip(*scores)
     return float(np.mean(psnrs)), float(np.mean(ssims))

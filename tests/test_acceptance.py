@@ -95,6 +95,7 @@ def test_c2_scan_correctness(tile_rank_map):
                   f"rank monotone {monotone}, {dt:.1f}s")
 
 
+@pytest.mark.slow
 def test_c3_differentiation():
     t0 = time.time()
     results = checks.run_all(include_model=True)
@@ -169,6 +170,7 @@ def test_c5_amplitude_carries_degradation():
     report(5, ok, f"rainy-amplitude output farther from clean in {hits}/20 pairs, {dt:.1f}s")
 
 
+@pytest.mark.slow
 def test_c6_toy_training():
     t0 = time.time()
     mc = M.ModelConfig()

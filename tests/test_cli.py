@@ -7,7 +7,8 @@ from freqmamba import cli
 from freqmamba import model as M
 from freqmamba import tensor as T
 from freqmamba import training as TR
-from freqmamba.errors import ConfigError, FreqMambaError
+from freqmamba.errors import ConfigError, ConfigMismatchError, FreqMambaError, MagicError, \
+    TruncatedError
 from freqmamba.ppm import read_ppm, write_ppm
 from freqmamba.tensor import Tensor
 
@@ -207,7 +208,7 @@ def test_threaded_eval_leaves_grad_mode_on(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FREQMAMBA_THREADS", "2")
     for _ in range(10):
         assert cli.main(["eval", str(ckpt), str(tmp_path)]) == 0
-    assert T._grad_enabled
+    assert T._grad_enabled.get()
     before = {k: p.data.copy() for k, p in model.named_params().items()}
     tc = TR.TrainConfig(total_iters=1, progressive=((16, 1),), n_images=1, image_size=16)
     TR.train(model, tc, model.config)
@@ -227,7 +228,9 @@ def _fmck_with_config_text(path, text: bytes):
     ("fmck", b"[model]\nbase_channels = x\n"),
     ("fmck", TINY_MC.canonical_text().encode() + b"[state]\niteration = two\n"),
     ("fmck", b"[model]\nbase_channels = \xff\xfe\n"),
-], ids=["ppm_header_not_digits", "ppm_zero_width", "fmck_config_value", "fmck_iteration", "fmck_not_utf8"])
+    ("fmck", b"[model]\nbase_channels = 4\nchannel_multipliers = 1,0,1,1\nstate_dim = 2\n"),
+], ids=["ppm_header_not_digits", "ppm_zero_width", "fmck_config_value", "fmck_iteration", "fmck_not_utf8",
+        "fmck_zero_multiplier"])
 def test_bad_input_exits_2(tmp_path, capsys, kind, payload):
     ckpt, img = tmp_path / "m.fmck", tmp_path / "in.ppm"
     tiny_checkpoint(ckpt)
@@ -277,6 +280,21 @@ def test_train_config_not_utf8_exits_1(tmp_path, capsys):
     assert err.startswith("config error:") and str(cfg) in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("old, new", [
+    ("channel_multipliers = 1,1,1,1", "channel_multipliers = 1,0,1,1"),
+    ("channel_multipliers = 1,1,1,1", "channel_multipliers = 1,1,-1,1"),
+    ("n_images = 2", "n_images = 0"),
+    ("progressive = 16x1", "progressive = 0x1"),
+], ids=["zero_multiplier", "negative_multiplier", "zero_images", "zero_patch"])
+def test_train_config_out_of_range_exits_1(tmp_path, capsys, old, new):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CONFIG.replace("OUTDIR", str(tmp_path / "run")).replace(old, new))
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("h, w", [(0, 4), (4, 0), (-2, 4)])
 def test_scan_viz_empty_size_exits_1(tmp_path, capsys, h, w):
     prefix = tmp_path / "viz"
@@ -304,3 +322,83 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("FREQMAMBA_THREADS", "zero")
     with pytest.raises(ConfigError):
         cli.worker_count()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the checkpoint and config readers
+
+_IO_ERRORS = (MagicError, TruncatedError, ConfigMismatchError)
+
+
+@pytest.fixture(scope="module")
+def fmck_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fmck") / "m.fmck"
+    M.save(M.build(TINY_MC, seed=0), path)
+    return path.read_bytes()
+
+
+def _mutated(blob, edits):
+    out = bytearray(blob)
+    for pos, byte in edits:
+        out[pos % len(out)] = byte
+    return bytes(out)
+
+
+# Edits land anywhere, or in the header and config text (the first 300
+# bytes) where one byte changes the most; truncations cut anywhere.
+_FMCK_CHANGES = st.one_of(
+    st.lists(st.tuples(st.integers(0, 2 ** 20), st.integers(0, 255)), min_size=1, max_size=4)
+    .map(lambda edits: ("edit", edits)),
+    st.lists(st.tuples(st.integers(0, 299), st.integers(0, 255)), min_size=1, max_size=3)
+    .map(lambda edits: ("edit", edits)),
+    st.integers(0, 2 ** 20).map(lambda n: ("cut", n)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FMCK_CHANGES)
+def test_fmck_fuzz_loads_or_exits_2(tmp_path, capsys, fmck_blob, change):
+    kind, arg = change
+    blob = _mutated(fmck_blob, arg) if kind == "edit" else fmck_blob[:arg % (len(fmck_blob) + 1)]
+    ckpt = tmp_path / "m.fmck"
+    ckpt.write_bytes(blob)
+    try:
+        model = M.load(ckpt)
+    except _IO_ERRORS:
+        capsys.readouterr()
+        assert cli.main(["infer", str(ckpt), str(tmp_path / "in.ppm"), str(tmp_path / "out.ppm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and len(err.splitlines()) == 1
+        return
+    assert model.param_count() > 0
+
+
+_CONFIG_KEYS = sorted(cli._MODEL_KEYS | cli._TRAIN_KEYS | cli._RAIN_KEYS | cli._PATH_KEYS)
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "1", "2", "16", "1e309", "nan", "x", "", "true", "0,1", "1,1,1,1",
+                     "0,1,1,1", "1,1,1,1,1,1,1", "16x1", "0x1", "16x0", "32x2,16x1", "16x", "procedural"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+_CONFIG_LINES = st.one_of(
+    st.sampled_from(["[model]", "[train]", "[rain]", "[paths]", "[other]", "# comment", ""]),
+    st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.lists(_CONFIG_LINES, max_size=10).map(lambda lines: "\n".join(lines).encode()),
+                 st.binary(max_size=64)))
+def test_run_config_fuzz_builds_or_exits_1(tmp_path, capsys, text):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(text)
+    try:
+        mc, tc, out_dir = cli.build_configs(cli.parse_run_config(cfg))
+    except ConfigError:
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        return
+    # what train and build rely on
+    assert min(mc.stage_channels) >= 1 and tc.n_images >= 1 and isinstance(out_dir, str)
+    assert all(patch >= 16 and batch >= 1 for patch, batch in tc.progressive)

@@ -20,6 +20,9 @@ def test_config_validation():
         M.ModelConfig(depths=(1, 1, 0, 1, 1, 1, 1))
     with pytest.raises(ConfigError, match="4 entries"):
         M.ModelConfig(channel_multipliers=(1, 2))
+    for bad in ((1, 0, 2, 4), (1, 2, -1, 4)):
+        with pytest.raises(ConfigError, match="channel_multipliers must be positive"):
+            M.ModelConfig(channel_multipliers=bad)
 
 
 def test_config_canonical_roundtrip():

@@ -146,9 +146,9 @@ def test_selective_scan_stability_bound():
         u = np.clip(rng.normal(size=(128, 4)), -1, 1)
         stacked = S._stack_dynamics([p.dynamics])
         y, cache = S._scan_forward(u[None, None], *stacked, True)
-        abar, hs = cache[6], cache[7]
-        # recompute B_bar*u from the cache pieces
-        delta, b = cache[4], cache[1]
+        # the cache keeps no decays: rebuild A_bar and B_bar*u from its pieces
+        b, delta, a, hs = cache[1], cache[4], cache[5], cache[6]
+        abar = np.exp(delta[:, :, :, None, None] * a[:, None, None])
         bu = np.abs(delta[..., None, None] * b[:, :, :, None, :].transpose(0, 1, 2, 3, 4)
                     * u[None, None][..., None])
         bound = bu.max() / (1.0 - abar.max())
@@ -291,7 +291,7 @@ def test_scan_forward_without_history_is_bit_identical():
         u = rng.normal(size=(g, n, l_, c))
         y_keep, cache = S._scan_forward(u, *stacked, True)
         y_free, none = S._scan_forward(u, *stacked, False)
-        assert none is None and cache[7].shape == (l_, g, n, c, s)
+        assert none is None and cache[6].shape == (l_, g, n, c, s)
         assert np.array_equal(y_free, y_keep), l_
 
 
@@ -378,6 +378,26 @@ def test_scan2d_no_grad_keeps_no_history():
         finally:
             tracemalloc.stop()
     assert peak < 16 * f.data.nbytes, peak / f.data.nbytes
+
+
+def test_scan2d_training_keeps_states_only():
+    # Under grad the backward needs one (L, G, N, C, S) state history, 32
+    # input sizes here (G * S = 32 with C = 8); the rest is (G, N, L, C)-sized
+    # and block buffers.  A second history (the decays) or a full-length
+    # dA * A_bar array would each add 32 more.
+    n, c, s, hw = 4, 8, 8, 64
+    rng = np.random.default_rng(25)
+    f = Tensor(rng.normal(size=(n, c, hw, hw)), requires_grad=True)
+    p = S.init_scan2d_params(c, s, 4, rng)
+    g = Tensor(rng.normal(size=f.data.shape))
+    tracemalloc.start()
+    try:
+        T.backward(T.sum_all(T.mul(S.scan2d(f, p, S.spatial_orders(hw, hw)), g)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.grad is not None and p.directions[0].A_log.grad is not None
+    assert peak < 100 * f.data.nbytes, peak / f.data.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from freqmamba.errors import FreqMambaError, MagicError, ShapeError, TruncatedError
+from freqmamba import model as M
 from freqmamba import tensor as T
+from freqmamba import training as TR
 from freqmamba.tensor import Tensor, backward, grad_check
 
 
@@ -301,6 +304,104 @@ def test_grad_accumulates_across_uses():
     x = Tensor(np.array([3.0]), requires_grad=True)
     backward(T.sum_all(T.add(x, x)))
     np.testing.assert_allclose(x.grad, [2.0])
+
+
+def graph_nodes(loss):
+    """Every node reachable from ``loss`` through its parents."""
+    seen, stack, out = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(node.parents)
+    return out
+
+
+def backward_keeping_graph(loss):
+    """Reference sweep: backward's node order and sums, with nothing freed."""
+    nodes, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            nodes.append(node)
+        elif id(node) not in visited and node.requires_grad:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.parents)
+    loss.grad = np.ones(())
+    for node in reversed(nodes):
+        if node.backward_rule is None or node.grad is None:
+            continue
+        for parent, g in zip(node.parents, node.backward_rule(node.grad)):
+            if g is not None and parent.requires_grad:
+                parent.grad = np.array(g, copy=True) if parent.grad is None else parent.grad + g
+
+
+def tiny_model_loss():
+    """A small model's training loss on one 16x16 pair, with a non-zero head."""
+    rng = np.random.default_rng(31)
+    model = M.build(M.ModelConfig(base_channels=4, channel_multipliers=(1, 1, 1, 1), state_dim=2), seed=3)
+    model.head.w.data = rng.normal(0, 0.05, model.head.w.data.shape)
+    rainy, clean = (Tensor(rng.uniform(size=(2, 3, 16, 16))) for _ in range(2))
+    return model, TR.loss_total(model.forward(rainy), clean, TR.LossWeights())[0]
+
+
+def test_backward_frees_the_graph_and_keeps_leaf_grads():
+    model, loss = tiny_model_loss()
+    inner = [node for node in graph_nodes(loss) if node.op != "leaf"]
+    assert len(inner) > 500 and {"scan2d", "conv2d", "layer_norm"} <= {node.op for node in inner}
+    backward(loss)
+    assert all(node.backward_rule is None and node.parents == () and node.grad is None for node in inner)
+    ref_model, ref_loss = tiny_model_loss()
+    backward_keeping_graph(ref_loss)
+    ref = ref_model.named_params()
+    for name, p in model.named_params().items():
+        assert p.grad is not None and np.array_equal(p.grad, ref[name].grad), name
+
+
+def test_backward_twice_raises():
+    # calls backward twice on purpose: a graph can be backpropagated once
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = T.sum_all(T.mul(x, x))
+    backward(loss)
+    with pytest.raises(FreqMambaError, match="spent graph"):
+        backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_no_grad_is_per_thread():
+    # one thread sits inside no_grad while the other records a graph
+    x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    inside, release, seen = threading.Event(), threading.Event(), {}
+
+    def under_no_grad():
+        with T.no_grad():
+            inside.set()
+            release.wait(10)
+            seen["records"] = T.mul(x, x).requires_grad
+        seen["after"] = T._grad_enabled.get()
+
+    worker = threading.Thread(target=under_no_grad)
+    worker.start()
+    assert inside.wait(10)
+    loss = T.sum_all(T.mul(x, x))
+    release.set()
+    worker.join(10)
+    assert T._grad_enabled.get() and loss.requires_grad
+    assert seen == {"records": False, "after": True}
+    backward(loss)
+    np.testing.assert_array_equal(x.grad, [3.0, -4.0])
+
+    def records():
+        seen["thread"] = T.mul(x, x).requires_grad
+
+    with T.no_grad():
+        worker = threading.Thread(target=records)
+        worker.start()
+        worker.join(10)
+        assert not T.mul(x, x).requires_grad
+    assert seen["thread"]
 
 
 GRAD_CASES = [

@@ -231,6 +231,9 @@ def test_train_divergence_guard(monkeypatch):
 def test_train_config_validation():
     with pytest.raises(ConfigError, match="divisible"):
         small_tc(progressive=((20, 2),))
+    for bad in ({"progressive": ((0, 2),)}, {"progressive": ((-16, 2),)}, {"n_images": 0}):
+        with pytest.raises(ConfigError, match="positive"):
+            small_tc(**bad)
     with pytest.raises(ConfigError, match="exceeds"):
         small_tc(progressive=((64, 2),), image_size=32)
     assert small_tc(total_iters=10, progressive=((16, 1), (32, 1))).stage_bounds() == [5, 5]
