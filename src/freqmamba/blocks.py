@@ -81,13 +81,12 @@ def band_branch(f_ln: Tensor, w: FreqSsmBlockWeights,
     """
     n, c, h, wd_ = f_ln.data.shape
     k = wpt_level_for(h, wd_)
-    mosaic = W.arrange_bands(W.wpt(f_ln, k))
+    mosaic = W.wpt(f_ln, k)
     if mamba_fn is None:
         mosaic = S.freq_mamba(mosaic, w.band, k)
     else:
         mosaic = mamba_fn(mosaic)
-    back = W.iwpt(W.split_bands(mosaic, k), k)
-    return T.mul(back, T.silu(f_ln))
+    return T.mul(W.iwpt(mosaic, k), T.silu(f_ln))
 
 
 def freqssm_block(f_in: Tensor, w: FreqSsmBlockWeights, debug_dir=None, tag: str = "block") -> Tensor:

@@ -293,8 +293,11 @@ def load(path, expected_config: ModelConfig | None = None) -> Model:
         name = r.take(r.u32()).decode(errors="replace")
         dims = struct.unpack("<4I", r.take(16))
         count = math.prod(dims)  # Python ints: np.prod of four u32 can wrap negative
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").astype(np.float64)
-        records[name] = (dims, data)
+        data = np.frombuffer(r.take(4 * count), dtype="<f4")
+        # inf or NaN (exponent all ones), tested before the cast, which warns on a signalling NaN
+        if not np.isfinite(data).all():
+            raise MagicError(f"{path}: record {name} holds a non-finite value")
+        records[name] = (dims, data.astype(np.float64))
 
     model = build(config, seed=0)
     model.iteration = iteration

@@ -153,6 +153,16 @@ class RainSynthParams:
     intensity: tuple[float, float] = (0.08, 0.35)
     background: str = "procedural"  # or a folder of PPM images
 
+    def __post_init__(self):
+        for name in ("streak_count", "angle_deg", "length_px", "width_px", "intensity"):
+            span = getattr(self, name)
+            if len(span) != 2 or not span[0] <= span[1]:
+                raise ConfigError(f"{name} needs a range lo,hi with lo <= hi, got {span}")
+        if self.streak_count[0] < 0:
+            raise ConfigError(f"streak_count must be non-negative, got {self.streak_count}")
+        if not self.width_px[0] > 0:
+            raise ConfigError(f"width_px must be positive, got {self.width_px}")
+
 
 def _procedural_background(h, w, rng):
     """Smooth colored background: low-pass filtered noise per channel."""

@@ -1,9 +1,13 @@
-"""Orthonormal Haar DWT and k-level wavelet packet transform.
+"""Orthonormal Haar wavelet packet transform on the band mosaic.
 
-Sub-bands follow the digit order LL, LH, HL, HH (LH = horizontal detail,
-HL = vertical detail).  Packet bands are kept in lexicographic path order;
-``arrange_bands`` tiles them quadrant-recursively so the top-left tile is
-the lowest band and the bottom-right the highest.
+``wpt(x, k)`` returns the level-k packet transform laid out as one
+full-resolution mosaic: at each level, every tile's four sub-bands LL, LH /
+HL, HH (LH = horizontal detail, HL = vertical detail) become its quadrants,
+so the top-left tile is the lowest band and the bottom-right the highest
+(``band_tile``).  ``iwpt`` is its exact inverse.  Each is one tape node whose
+backward rule is the other.  ``split_bands`` and ``arrange_bands`` convert
+between the mosaic and a ``PacketGrid`` of bands in lexicographic path
+order; ``dwt2`` and ``idwt2`` are the one-level band-list view.
 """
 
 from __future__ import annotations
@@ -38,61 +42,9 @@ class WaveletBands:
         return (self.ll, self.lh, self.hl, self.hh)
 
 
-def _corners(x: np.ndarray):
-    n, c, h, w = x.shape
-    v = x.reshape(n, c, h // 2, 2, w // 2, 2)
-    return v[:, :, :, 0, :, 0], v[:, :, :, 0, :, 1], v[:, :, :, 1, :, 0], v[:, :, :, 1, :, 1]
-
-
-def _from_corners(a, b, c, d):
-    n, ch, h2, w2 = a.shape
-    out = np.empty((n, ch, h2, 2, w2, 2))
-    out[:, :, :, 0, :, 0] = a
-    out[:, :, :, 0, :, 1] = b
-    out[:, :, :, 1, :, 0] = c
-    out[:, :, :, 1, :, 1] = d
-    return out.reshape(n, ch, 2 * h2, 2 * w2)
-
-
-def dwt2(x: Tensor) -> WaveletBands:
-    """One-level orthonormal Haar transform on non-overlapping 2x2 blocks."""
-    T._check_4d(x, "dwt2")
-    n, c, h, w = x.data.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"dwt2 requires even H and W, got {h}x{w}; pad the input first")
-    corners = _corners(x.data)
-
-    def band(idx):
-        s = _HAAR_SIGNS[idx]
-        data = sum(si * ci for si, ci in zip(s, corners))
-
-        def rule(g, s=s):
-            return (_from_corners(*(si * g for si in s)),)
-
-        return make_node(data, (x,), rule, f"dwt2.{BAND_NAMES[idx].lower()}")
-
-    return WaveletBands(band(0), band(1), band(2), band(3))
-
-
-def idwt2(b: WaveletBands) -> Tensor:
-    """Exact inverse of dwt2 (the transform is orthonormal)."""
-    shapes = {t.data.shape for t in b.as_tuple()}
-    if len(shapes) != 1:
-        raise ShapeError(f"idwt2 requires equal band shapes, got {sorted(shapes)}")
-    bands = [t.data for t in b.as_tuple()]
-    # transpose of the forward matrix: corner i = sum_k signs[k, i] * band_k
-    corners = [sum(_HAAR_SIGNS[k, i] * bands[k] for k in range(4)) for i in range(4)]
-
-    def rule(g):
-        gc = _corners(g)
-        return tuple(sum(_HAAR_SIGNS[k, i] * gc[i] for i in range(4)) for k in range(4))
-
-    return make_node(_from_corners(*corners), tuple(b.as_tuple()), rule, "idwt2")
-
-
 @dataclass
 class PacketGrid:
-    """4**k equal-size bands in lexicographic path order plus their tiling."""
+    """4**k equal-size bands in lexicographic path order."""
 
     bands: list[Tensor]
     level: int
@@ -100,10 +52,9 @@ class PacketGrid:
     def __post_init__(self):
         if len(self.bands) != 4 ** self.level:
             raise ShapeError(f"PacketGrid level {self.level} needs {4 ** self.level} bands, got {len(self.bands)}")
-
-    @property
-    def arrangement(self) -> list[tuple[int, int]]:
-        return [band_tile(i, self.level) for i in range(len(self.bands))]
+        shapes = {b.data.shape for b in self.bands}
+        if len(shapes) != 1:
+            raise ShapeError(f"PacketGrid requires equal band shapes, got {sorted(shapes)}")
 
     def labels(self) -> list[str]:
         return [band_label(i, self.level) for i in range(len(self.bands))]
@@ -130,33 +81,71 @@ def band_tile(index: int, level: int) -> tuple[int, int]:
     return row, col
 
 
-def wpt(x: Tensor, k: int) -> PacketGrid:
-    """k-level packet transform: dwt2 applied recursively to every sub-band."""
+def _check_level(x: Tensor, k: int, what: str) -> None:
+    T._check_4d(x, what)
     if k < 1:
-        raise ShapeError(f"wpt requires k >= 1, got {k}")
-    n, c, h, w = x.data.shape
+        raise ShapeError(f"{what} requires k >= 1, got {k}")
+    h, w = x.data.shape[2:]
     if h % (2 ** k) or w % (2 ** k):
-        raise ShapeError(f"wpt level {k} requires H and W divisible by {2 ** k}, got {h}x{w}")
-    bands = [x]
-    for _ in range(k):
-        bands = [sub for band in bands for sub in dwt2(band).as_tuple()]
-    return PacketGrid(bands, k)
+        raise ShapeError(f"{what} level {k} requires H and W divisible by {2 ** k}, got {h}x{w}; "
+                         "pad the input first")
 
 
-def iwpt(g: PacketGrid, k: int) -> Tensor:
-    if g.level != k:
-        raise ShapeError(f"iwpt level mismatch: grid has {g.level}, requested {k}")
-    bands = list(g.bands)
-    for _ in range(k):
-        bands = [idwt2(WaveletBands(*bands[i:i + 4])) for i in range(0, len(bands), 4)]
-    return bands[0]
+def _packet(x: np.ndarray, k: int, inverse: bool = False) -> np.ndarray:
+    """Level-k Haar packet transform of an NCHW array into its mosaic, or back.
+
+    At level l the map holds 2**l x 2**l tiles.  Going forward, the 2x2 pixel
+    corners of each tile become its four sub-bands, stored as the tile's
+    quadrants; the inverse undoes the levels from the finest up.
+    """
+    n, c, h, w = x.shape
+    signs = _HAAR_SIGNS.T if inverse else _HAAR_SIGNS
+    for level in (reversed(range(k)) if inverse else range(k)):
+        s = 2 ** level
+        bh, bw = h // (2 * s), w // (2 * s)
+        # (view shape, axes of the 2x2 index) of the pixel corners / sub-band quadrants
+        corners = (n, c, s, bh, 2, s, bw, 2), (4, 7)
+        quadrants = (n, c, s, 2, bh, s, 2, bw), (3, 6)
+        (src_shape, src_axes), (dst_shape, dst_axes) = (
+            (quadrants, corners) if inverse else (corners, quadrants))
+        src = np.moveaxis(x.reshape(src_shape), src_axes, (0, 1))
+        out = np.empty(x.shape)
+        dst = np.moveaxis(out.reshape(dst_shape), dst_axes, (0, 1))
+        parts = [src[i >> 1, i & 1] for i in range(4)]
+        for j in range(4):
+            dst[j >> 1, j & 1] = sum(si * p for si, p in zip(signs[j], parts))
+        x = out
+    return x
+
+
+def wpt(x: Tensor, k: int) -> Tensor:
+    """k-level packet transform, laid out as its band mosaic."""
+    _check_level(x, k, "wpt")
+    return make_node(_packet(x.data, k), (x,), lambda g: (_packet(g, k, inverse=True),), "wpt")
+
+
+def iwpt(mosaic: Tensor, k: int) -> Tensor:
+    """Exact inverse of wpt (the transform is orthonormal)."""
+    _check_level(mosaic, k, "iwpt")
+    return make_node(_packet(mosaic.data, k, inverse=True), (mosaic,),
+                     lambda g: (_packet(g, k),), "iwpt")
+
+
+def dwt2(x: Tensor) -> WaveletBands:
+    """One-level orthonormal Haar transform on non-overlapping 2x2 blocks."""
+    return WaveletBands(*split_bands(wpt(x, 1), 1).bands)
+
+
+def idwt2(b: WaveletBands) -> Tensor:
+    """Exact inverse of dwt2."""
+    return iwpt(arrange_bands(PacketGrid(list(b.as_tuple()), 1)), 1)
 
 
 def arrange_bands(g: PacketGrid) -> Tensor:
     """Tile the bands into one full-resolution mosaic, low frequency top-left."""
     side = 2 ** g.level
     n, c, bh, bw = g.bands[0].data.shape
-    tiles = g.arrangement
+    tiles = [band_tile(i, g.level) for i in range(len(g.bands))]
     out = np.empty((n, c, bh * side, bw * side))
     for band, (r, cpos) in zip(g.bands, tiles):
         out[:, :, r * bh:(r + 1) * bh, cpos * bw:(cpos + 1) * bw] = band.data
@@ -169,13 +158,9 @@ def arrange_bands(g: PacketGrid) -> Tensor:
 
 def split_bands(mosaic: Tensor, k: int) -> PacketGrid:
     """Exact inverse of arrange_bands."""
-    T._check_4d(mosaic, "split_bands")
-    side = 2 ** k
-    n, c, h, w = mosaic.data.shape
-    if h % side or w % side:
-        raise ShapeError(f"split_bands level {k} requires H and W divisible by {side}, got {h}x{w}")
-    bh, bw = h // side, w // side
+    _check_level(mosaic, k, "split_bands")
     shape = mosaic.data.shape
+    bh, bw = shape[2] >> k, shape[3] >> k
 
     def band(idx):
         r, cpos = band_tile(idx, k)

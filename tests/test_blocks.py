@@ -74,6 +74,20 @@ def test_band_branch_grad_check():
     assert grad_check(lambda t: weighted(B.band_branch(t, w), proj), x) < 1e-5
 
 
+def test_band_branch_graph_has_one_node_per_transform():
+    w = make_block(seed=17)
+    f_ln = Tensor(np.random.default_rng(18).normal(size=(2, 2, 8, 8)), requires_grad=True)
+    seen, stack, ops = set(), [B.band_branch(f_ln, w)], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node.op)
+            stack.extend(node.parents)
+    assert ops.count("wpt") == 1 and ops.count("iwpt") == 1
+    assert not [op for op in ops if op.startswith(("dwt2", "idwt2", "split.", "arrange_bands"))]
+
+
 def test_band_branch_uses_k1_when_quarter_not_divisible():
     # 2x2 features only admit a single packet level
     assert B.wpt_level_for(2, 2) == 1

@@ -222,6 +222,15 @@ def _fmck_with_config_text(path, text: bytes):
     path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + n:])
 
 
+def _fmck_with_first_value(path, name: str, bits: int):
+    """Overwrite the first float32 of a checkpoint's ``name`` record with raw bits."""
+    blob = bytearray(path.read_bytes())
+    key = len(name).to_bytes(4, "little") + name.encode()
+    pos = blob.index(key) + len(key) + 16  # past the four u32 dims
+    blob[pos:pos + 4] = bits.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("kind,payload", [
     ("ppm", b"P6\nab 4\n255\n"),
     ("ppm", b"P6\n0 4\n255\n"),
@@ -229,19 +238,24 @@ def _fmck_with_config_text(path, text: bytes):
     ("fmck", TINY_MC.canonical_text().encode() + b"[state]\niteration = two\n"),
     ("fmck", b"[model]\nbase_channels = \xff\xfe\n"),
     ("fmck", b"[model]\nbase_channels = 4\nchannel_multipliers = 1,0,1,1\nstate_dim = 2\n"),
+    ("value", 0x7F800001),
+    ("value", 0x7F800000),
 ], ids=["ppm_header_not_digits", "ppm_zero_width", "fmck_config_value", "fmck_iteration", "fmck_not_utf8",
-        "fmck_zero_multiplier"])
+        "fmck_zero_multiplier", "fmck_signalling_nan", "fmck_inf"])
 def test_bad_input_exits_2(tmp_path, capsys, kind, payload):
     ckpt, img = tmp_path / "m.fmck", tmp_path / "in.ppm"
     tiny_checkpoint(ckpt)
     write_image(img, seed=5)
     if kind == "ppm":
         img.write_bytes(payload)
-    else:
+    elif kind == "fmck":
         _fmck_with_config_text(ckpt, payload)
+    else:
+        _fmck_with_first_value(ckpt, "stem.w", payload)
     assert cli.main(["infer", str(ckpt), str(img), str(tmp_path / "out.ppm")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and str(img if kind == "ppm" else ckpt) in err
+    assert len(err.splitlines()) == 1 and (kind != "value" or "stem.w" in err)
 
 
 def test_cmd_train_end_to_end(tmp_path, capsys):
@@ -285,7 +299,11 @@ def test_train_config_not_utf8_exits_1(tmp_path, capsys):
     ("channel_multipliers = 1,1,1,1", "channel_multipliers = 1,1,-1,1"),
     ("n_images = 2", "n_images = 0"),
     ("progressive = 16x1", "progressive = 0x1"),
-], ids=["zero_multiplier", "negative_multiplier", "zero_images", "zero_patch"])
+    ("streak_count = 5,10", "streak_count = 50,5"),
+    ("streak_count = 5,10", "streak_count = 1,2,3"),
+    ("streak_count = 5,10", "streak_count = 5,10\nwidth_px = 0,0"),
+], ids=["zero_multiplier", "negative_multiplier", "zero_images", "zero_patch", "reversed_streak_count",
+        "three_streak_counts", "zero_width"])
 def test_train_config_out_of_range_exits_1(tmp_path, capsys, old, new):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(TINY_CONFIG.replace("OUTDIR", str(tmp_path / "run")).replace(old, new))

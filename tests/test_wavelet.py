@@ -28,6 +28,8 @@ def test_dwt2_hand_block():
     assert b.lh.data[0, 0, 0, 0] == -1.0
     assert b.hl.data[0, 0, 0, 0] == -2.0
     assert b.hh.data[0, 0, 0, 0] == 0.0
+    # the mosaic holds the same four numbers as its quadrants LL, LH / HL, HH
+    np.testing.assert_array_equal(W.wpt(x, 1).data, [[[[5.0, -1.0], [-2.0, 0.0]]]])
 
 
 def test_dwt2_roundtrip_and_energy():
@@ -41,22 +43,22 @@ def test_dwt2_roundtrip_and_energy():
 def test_dwt2_odd_size_error():
     with pytest.raises(ShapeError, match="pad"):
         W.dwt2(rand((1, 1, 3, 4)))
+    with pytest.raises(ShapeError, match="pad"):
+        W.wpt(rand((1, 1, 4, 3)), 1)
 
 
-def test_wpt_level1_equals_dwt2():
-    x = rand((1, 2, 4, 4), seed=2)
-    g = W.wpt(x, 1)
-    b = W.dwt2(x)
-    for got, want in zip(g.bands, b.as_tuple()):
-        np.testing.assert_array_equal(got.data, want.data)
+def test_idwt2_unequal_bands_error():
+    b = W.dwt2(rand((1, 1, 4, 4), seed=2))
+    with pytest.raises(ShapeError, match="equal band shapes"):
+        W.idwt2(W.WaveletBands(b.ll, b.lh, b.hl, rand((1, 1, 2, 4))))
 
 
 def test_wpt_constant_k2():
     x = Tensor(np.ones((1, 1, 8, 8)))
-    g = W.wpt(x, 2)
-    np.testing.assert_allclose(g.bands[0].data, 4.0)
-    for band in g.bands[1:]:
-        np.testing.assert_allclose(band.data, 0.0, atol=1e-12)
+    m = W.wpt(x, 2).data
+    np.testing.assert_allclose(m[:, :, :2, :2], 4.0)
+    m[:, :, :2, :2] = 0.0
+    np.testing.assert_allclose(m, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k,size", [(1, 8), (2, 16), (3, 64), (2, 64)])
@@ -68,19 +70,39 @@ def test_wpt_roundtrip(k, size):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_wpt_energy_conservation(k):
     x = rand((1, 1, 16, 16), seed=3 + k)
-    g = W.wpt(x, k)
-    e = sum(np.sum(b.data ** 2) for b in g.bands)
+    e = np.sum(W.wpt(x, k).data ** 2)
     np.testing.assert_allclose(e, np.sum(x.data ** 2), rtol=1e-12)
 
 
 def test_wpt_divisibility_error():
     with pytest.raises(ShapeError, match="divisible"):
         W.wpt(rand((1, 1, 6, 6)), 2)
+    with pytest.raises(ShapeError, match="divisible"):
+        W.iwpt(rand((1, 1, 6, 6)), 2)
+    with pytest.raises(ShapeError, match="k >= 1"):
+        W.wpt(rand((1, 1, 4, 4)), 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(2, 3, 16, 16), (3, 2, 8, 24), (2, 2, 32, 16)])
+def test_wpt_iwpt_match_per_band_oracle(packet_oracle, k, shape):
+    rng = np.random.default_rng(k)
+    x, m = rng.normal(size=shape), rng.normal(size=shape)
+    assert np.array_equal(W.wpt(Tensor(x), k).data, packet_oracle(x, k))
+    assert np.array_equal(W.iwpt(Tensor(m), k).data, packet_oracle(m, k, inverse=True))
+
+
+def test_wpt_level1_equals_dwt2():
+    x = rand((1, 2, 4, 4), seed=2)
+    mosaic = W.wpt(x, 1).data
+    b = W.dwt2(x)
+    for (r, c), band in zip(((0, 0), (0, 1), (1, 0), (1, 1)), b.as_tuple()):
+        np.testing.assert_array_equal(mosaic[:, :, 2 * r:2 * r + 2, 2 * c:2 * c + 2], band.data)
 
 
 def test_arrange_k1_quadrants():
     x = rand((1, 1, 4, 4), seed=4)
-    g = W.wpt(x, 1)
+    g = W.split_bands(W.wpt(x, 1), 1)
     mosaic = W.arrange_bands(g)
     np.testing.assert_array_equal(mosaic.data[:, :, :2, :2], g.bands[0].data)  # LL
     np.testing.assert_array_equal(mosaic.data[:, :, :2, 2:], g.bands[1].data)  # LH
@@ -89,10 +111,10 @@ def test_arrange_k1_quadrants():
 
 
 def test_arrange_split_roundtrip_bit_exact():
-    x = rand((2, 2, 16, 16), seed=5)
-    g = W.wpt(x, 2)
-    back = W.split_bands(W.arrange_bands(g), 2)
-    for a, b in zip(back.bands, g.bands):
+    mosaic = W.wpt(rand((2, 2, 16, 16), seed=5), 2)
+    g = W.split_bands(mosaic, 2)
+    np.testing.assert_array_equal(W.arrange_bands(g).data, mosaic.data)
+    for a, b in zip(W.split_bands(W.arrange_bands(g), 2).bands, g.bands):
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -109,7 +131,7 @@ def test_k2_tile_enumeration():
 
 
 def test_labels_lexicographic():
-    g = W.wpt(rand((1, 1, 4, 4), seed=6), 2)
+    g = W.split_bands(W.wpt(rand((1, 1, 4, 4), seed=6), 2), 2)
     labels = g.labels()
     assert labels[:5] == ["LLLL", "LLLH", "LLHL", "LLHH", "LHLL"]
 
@@ -118,12 +140,9 @@ def test_labels_lexicographic():
 @settings(max_examples=6, deadline=None)
 def test_wpt_roundtrip_property(k):
     x = rand((1, 1, 8 * 2 ** k, 8 * 2 ** k), seed=100 + k)
-    np.testing.assert_allclose(W.iwpt(W.wpt(x, k), k).data, x.data, atol=1e-9)
-    g = W.wpt(x, k)
-    m = W.arrange_bands(g)
-    back = W.split_bands(m, k)
-    for a, b in zip(back.bands, g.bands):
-        np.testing.assert_array_equal(a.data, b.data)
+    m = W.wpt(x, k)
+    np.testing.assert_allclose(W.iwpt(m, k).data, x.data, atol=1e-9)
+    np.testing.assert_array_equal(W.arrange_bands(W.split_bands(m, k)).data, m.data)
 
 
 def test_wavelet_grad_checks():
@@ -142,15 +161,19 @@ def test_wavelet_grad_checks():
         return T.sum_all(T.mul(W.iwpt(W.wpt(t, 2), 2), Tensor(w2)))
 
     def f_mosaic(t):
-        return T.sum_all(T.mul(W.arrange_bands(W.wpt(t, 2)), Tensor(w2)))
+        return T.sum_all(T.mul(W.wpt(t, 2), Tensor(w2)))
+
+    def f_inverse(t):
+        return T.sum_all(T.mul(W.iwpt(t, 2), Tensor(w2)))
 
     def f_split(t):
-        g = W.split_bands(t, 1)
-        return T.sum_all(T.mul(W.iwpt(g, 1), Tensor(w2)))
+        b = W.WaveletBands(*W.split_bands(t, 1).bands)
+        return T.sum_all(T.mul(W.idwt2(b), Tensor(w2)))
 
     # the maps are linear, so a large step has zero truncation error and
     # keeps cancellation noise far below the 1e-8 bound
     assert grad_check(f_dwt, x, h=1e-2) < 1e-8
     assert grad_check(f_roundtrip, x, h=1e-2) < 1e-8
     assert grad_check(f_mosaic, x, h=1e-2) < 1e-8
+    assert grad_check(f_inverse, x, h=1e-2) < 1e-8
     assert grad_check(f_split, x, h=1e-2) < 1e-8
