@@ -37,15 +37,8 @@ def worker_count() -> int:
 # ---------------------------------------------------------------------------
 # flat key = value config document
 
-_MODEL_KEYS = {"depths", "base_channels", "channel_multipliers", "state_dim",
-               "use_fourier", "use_band", "use_spatial_mamba", "use_attention_map"}
-_TRAIN_KEYS = {"total_iters", "progressive", "lr_init", "lr_min", "seed",
-               "log_interval", "n_images", "image_size"}
-_RAIN_KEYS = {"streak_count", "angle_deg", "length_px", "width_px", "intensity",
-              "background"}
-_PATH_KEYS = {"out_dir", "data_dir"}
-_SECTIONS = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "rain": _RAIN_KEYS,
-             "paths": _PATH_KEYS}
+_SECTIONS = {"model": M.config_defaults(M.ModelConfig), "train": M.config_defaults(TR.TrainConfig),
+             "rain": M.config_defaults(TR.RainSynthParams), "paths": {"out_dir", "data_dir"}}
 
 
 def parse_run_config(path) -> dict:
@@ -54,89 +47,18 @@ def parse_run_config(path) -> dict:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    values: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _SECTIONS:
-                raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        if section is None:
-            raise ConfigError(f"{path}:{lineno}: key outside any [section]")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _SECTIONS[section]:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
-        if key in values[section]:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[section][key] = val
-    return values
-
-
-def _ints(val):
-    return tuple(int(x) for x in val.split(","))
-
-
-def _floats(val):
-    return tuple(float(x) for x in val.split(","))
-
-
-def _bool(val):
-    if val in ("true", "1", "yes"):
-        return True
-    if val in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {val!r}")
+    return M.parse_sections(text, _SECTIONS, path)
 
 
 def build_configs(doc: dict):
-    try:
-        mkw = {}
-        for key, val in doc["model"].items():
-            if key in ("depths", "channel_multipliers"):
-                mkw[key] = _ints(val)
-            elif key in ("base_channels", "state_dim"):
-                mkw[key] = int(val)
-            else:
-                mkw[key] = _bool(val)
-        mc = M.ModelConfig(**mkw)
-
-        rkw = {}
-        for key, val in doc["rain"].items():
-            if key == "background":
-                rkw[key] = val
-            elif key in ("streak_count", "length_px"):
-                rkw[key] = _ints(val)
-            else:
-                rkw[key] = _floats(val)
-        rain = TR.RainSynthParams(**rkw)
-
-        tkw = {"data": rain}
-        for key, val in doc["train"].items():
-            if key == "progressive":
-                stages = []
-                for part in val.split(","):
-                    patch, _, batch = part.strip().partition("x")
-                    stages.append((int(patch), int(batch)))
-                tkw[key] = tuple(stages)
-            elif key in ("lr_init", "lr_min"):
-                tkw[key] = float(val)
-            else:
-                tkw[key] = int(val)
-        data_dir = doc["paths"].get("data_dir", "")
-        if data_dir:
-            if not Path(data_dir).is_dir():
-                raise ConfigError(f"data_dir {data_dir} is not a directory")
-            tkw["data"] = data_dir
-        tc = TR.TrainConfig(**tkw)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad config value: {e}")
+    mc = M.config_from(M.ModelConfig, doc["model"])
+    data = M.config_from(TR.RainSynthParams, doc["rain"])
+    data_dir = doc["paths"].get("data_dir", "")
+    if data_dir:
+        if not Path(data_dir).is_dir():
+            raise ConfigError(f"data_dir {data_dir} is not a directory")
+        data = data_dir
+    tc = M.config_from(TR.TrainConfig, doc["train"], data=data)
     out_dir = doc["paths"].get("out_dir", "runs/freqmamba")
     return mc, tc, out_dir
 

@@ -64,24 +64,66 @@ class ModelConfig:
             lines.append(f"{f.name} = {v}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_canonical_text(cls, text: str) -> "ModelConfig":
-        kw = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("["):
-                continue
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key in ("depths", "channel_multipliers"):
-                kw[key] = tuple(int(x) for x in val.split(","))
-            elif key in ("base_channels", "state_dim"):
-                kw[key] = int(val)
-            elif key.startswith("use_"):
-                kw[key] = val == "true"
-            else:
-                raise ConfigError(f"unknown model config key {key!r}")
-        return cls(**kw)
+
+# ---------------------------------------------------------------------------
+# sectioned key = value config text: the run config and a checkpoint's config
+
+
+def parse_sections(text: str, sections: dict, where) -> dict[str, dict[str, str]]:
+    """Raw values per section of ``sections`` (name -> accepted keys); a bad
+    line raises ConfigError naming ``where`` and the line number."""
+    values: dict[str, dict[str, str]] = {name: {} for name in sections}
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in sections:
+                raise ConfigError(f"{where}:{lineno}: unknown section [{section}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where}:{lineno}: expected 'key = value', got {line!r}")
+        if section is None:
+            raise ConfigError(f"{where}:{lineno}: key outside any [section]")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in sections[section]:
+            raise ConfigError(f"{where}:{lineno}: unknown key {key!r} in [{section}]")
+        if key in values[section]:
+            raise ConfigError(f"{where}:{lineno}: duplicate key {key!r}")
+        values[section][key] = val
+    return values
+
+
+def config_defaults(cls) -> dict:
+    """Field -> default of the fields that config text sets: those with a plain default."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+def _value(default, val: str):
+    """Parse ``val`` as the type of ``default``."""
+    if isinstance(default, bool):
+        if val not in ("true", "1", "yes", "false", "0", "no"):
+            raise ConfigError(f"expected a boolean, got {val!r}")
+        return val in ("true", "1", "yes")
+    if isinstance(default, tuple) and isinstance(default[0], tuple):  # stages: 32x8,64x4
+        pairs = (s.partition("x") for s in val.split(","))
+        return tuple((int(patch), int(batch)) for patch, _, batch in pairs)
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in val.split(","))
+    return type(default)(val)
+
+
+def config_from(cls, values: dict[str, str], **extra):
+    """Build config dataclass ``cls`` from its section's raw values."""
+    defaults = config_defaults(cls)
+    try:
+        kw = {key: _value(defaults[key], val) for key, val in values.items()}
+    except ValueError as e:
+        raise ConfigError(f"bad config value: {e}") from None
+    return cls(**kw, **extra)
 
 
 @dataclass
@@ -276,13 +318,10 @@ def load(path, expected_config: ModelConfig | None = None) -> Model:
         raise MagicError(f"{path}: unsupported checkpoint version {version}")
     text = r.take(r.u32())
     try:
-        model_text, _, state_text = text.decode().partition("[state]")
-        config = ModelConfig.from_canonical_text(model_text)
-        iteration = 0
-        for line in state_text.splitlines():
-            if line.startswith("iteration"):
-                iteration = int(line.partition("=")[2])
-    except (ValueError, TypeError) as e:  # ValueError covers UnicodeDecodeError, ConfigError
+        doc = parse_sections(text.decode(), {"model": config_defaults(ModelConfig), "state": {"iteration"}}, "line")
+        config = config_from(ModelConfig, doc["model"])
+        iteration = int(doc["state"].get("iteration", 0))
+    except ValueError as e:  # covers UnicodeDecodeError and ConfigError
         raise MagicError(f"{path}: malformed config text: {e}") from None
     if expected_config is not None and expected_config.canonical_text() != config.canonical_text():
         raise ConfigMismatchError(f"{path}: checkpoint config does not match the expected config")

@@ -156,8 +156,8 @@ class RainSynthParams:
     def __post_init__(self):
         for name in ("streak_count", "angle_deg", "length_px", "width_px", "intensity"):
             span = getattr(self, name)
-            if len(span) != 2 or not span[0] <= span[1]:
-                raise ConfigError(f"{name} needs a range lo,hi with lo <= hi, got {span}")
+            if len(span) != 2 or not -np.inf < span[0] <= span[1] < np.inf:
+                raise ConfigError(f"{name} needs a finite range lo,hi with lo <= hi, got {span}")
         if self.streak_count[0] < 0:
             raise ConfigError(f"streak_count must be non-negative, got {self.streak_count}")
         if not self.width_px[0] > 0:
@@ -257,6 +257,10 @@ class TrainConfig:
             raise ConfigError("total_iters must be positive")
         if self.n_images < 1:
             raise ConfigError(f"n_images must be positive, got {self.n_images}")
+        if self.seed < 0 or self.log_interval < 1:
+            raise ConfigError(f"seed must be >= 0 and log_interval >= 1, got {self.seed}, {self.log_interval}")
+        if not (0 < self.lr_init < np.inf and 0 <= self.lr_min < np.inf):
+            raise ConfigError(f"lr_init must be finite > 0 and lr_min finite >= 0, got {self.lr_init}, {self.lr_min}")
         if not self.progressive:
             raise ConfigError("progressive schedule needs at least one (patch, batch) stage")
         for patch, batch in self.progressive:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -121,6 +123,14 @@ def test_config_full_document(tmp_path):
     assert out_dir == str(tmp_path / "run")
 
 
+def test_readme_example_config_builds_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A training config is", 1)[1].split("```\n", 2)[1]
+    p = tmp_path / "c.cfg"
+    p.write_text(block)
+    assert cli.build_configs(cli.parse_run_config(p)) == (M.ModelConfig(), TR.TrainConfig(), "runs/toy")
+
+
 # ---------------------------------------------------------------------------
 # commands (in-process)
 
@@ -238,10 +248,14 @@ def _fmck_with_first_value(path, name: str, bits: int):
     ("fmck", TINY_MC.canonical_text().encode() + b"[state]\niteration = two\n"),
     ("fmck", b"[model]\nbase_channels = \xff\xfe\n"),
     ("fmck", b"[model]\nbase_channels = 4\nchannel_multipliers = 1,0,1,1\nstate_dim = 2\n"),
+    ("fmck", TINY_MC.canonical_text().encode() + b"state_dim = 2\n"),
+    ("fmck", TINY_MC.canonical_text().encode() + b"[state]\niteration = 2\nfoo = 1\n"),
+    ("fmck", TINY_MC.canonical_text().encode() + b"[state]\niterationx = 7\n"),
     ("value", 0x7F800001),
     ("value", 0x7F800000),
 ], ids=["ppm_header_not_digits", "ppm_zero_width", "fmck_config_value", "fmck_iteration", "fmck_not_utf8",
-        "fmck_zero_multiplier", "fmck_signalling_nan", "fmck_inf"])
+        "fmck_zero_multiplier", "fmck_duplicate_key", "fmck_unknown_state_key", "fmck_iteration_prefix",
+        "fmck_signalling_nan", "fmck_inf"])
 def test_bad_input_exits_2(tmp_path, capsys, kind, payload):
     ckpt, img = tmp_path / "m.fmck", tmp_path / "in.ppm"
     tiny_checkpoint(ckpt)
@@ -302,14 +316,30 @@ def test_train_config_not_utf8_exits_1(tmp_path, capsys):
     ("streak_count = 5,10", "streak_count = 50,5"),
     ("streak_count = 5,10", "streak_count = 1,2,3"),
     ("streak_count = 5,10", "streak_count = 5,10\nwidth_px = 0,0"),
+    ("streak_count = 5,10", "streak_count = 5,10\nintensity = 0,1e309"),
+    ("log_interval = 1", "log_interval = 0"),
+    ("seed = 3", "seed = -1"),
+    ("lr_init = 1e-3", "lr_init = 1e309"),
+    ("lr_init = 1e-3", "lr_init = nan"),
+    ("lr_init = 1e-3", "lr_init = 1e-3\nlr_min = -1"),
 ], ids=["zero_multiplier", "negative_multiplier", "zero_images", "zero_patch", "reversed_streak_count",
-        "three_streak_counts", "zero_width"])
+        "three_streak_counts", "zero_width", "infinite_intensity", "zero_log_interval", "negative_seed",
+        "infinite_lr_init", "nan_lr_init", "negative_lr_min"])
 def test_train_config_out_of_range_exits_1(tmp_path, capsys, old, new):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(TINY_CONFIG.replace("OUTDIR", str(tmp_path / "run")).replace(old, new))
     assert cli.main(["train", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_negative_seed_option_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CONFIG.replace("OUTDIR", str(tmp_path / "run")))
+    assert cli.main(["train", "--config", str(cfg), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
 
 
@@ -391,7 +421,7 @@ def test_fmck_fuzz_loads_or_exits_2(tmp_path, capsys, fmck_blob, change):
     assert model.param_count() > 0
 
 
-_CONFIG_KEYS = sorted(cli._MODEL_KEYS | cli._TRAIN_KEYS | cli._RAIN_KEYS | cli._PATH_KEYS)
+_CONFIG_KEYS = sorted(set().union(*cli._SECTIONS.values()))
 _CONFIG_VALUES = st.one_of(
     st.sampled_from(["0", "-1", "1", "2", "16", "1e309", "nan", "x", "", "true", "0,1", "1,1,1,1",
                      "0,1,1,1", "1,1,1,1,1,1,1", "16x1", "0x1", "16x0", "32x2,16x1", "16x", "procedural"]),
@@ -420,3 +450,5 @@ def test_run_config_fuzz_builds_or_exits_1(tmp_path, capsys, text):
     # what train and build rely on
     assert min(mc.stage_channels) >= 1 and tc.n_images >= 1 and isinstance(out_dir, str)
     assert all(patch >= 16 and batch >= 1 for patch, batch in tc.progressive)
+    assert tc.seed >= 0 and tc.log_interval >= 1
+    assert 0 < tc.lr_init < np.inf and 0 <= tc.lr_min < np.inf

@@ -27,7 +27,8 @@ def test_config_validation():
 
 def test_config_canonical_roundtrip():
     cfg = M.ModelConfig(depths=(2, 3, 3, 4, 3, 3, 2), base_channels=16, use_band=False)
-    assert M.ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
+    doc = M.parse_sections(cfg.canonical_text(), {"model": M.config_defaults(M.ModelConfig)}, "canonical")
+    assert M.config_from(M.ModelConfig, doc["model"]) == cfg
 
 
 def test_paper_depths_build_20_blocks():
