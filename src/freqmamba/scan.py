@@ -7,6 +7,13 @@ input; A_bar = exp(delta * A) with A = -exp(A_log) < 0, B_bar = delta * B
 y_t = <C_t, h_t> (+ skip).  The loop is inherently sequential along L but
 vectorized over batch, channels, states and stacked scan directions; the
 backward pass runs the adjoint recurrence analytically.
+
+The loop runs in time blocks sized to stay in cache.  A recorded scan keeps
+only the last state of each block, O(L / Q) memory for Q-step blocks, instead
+of the full state history.  The backward recomputes the rest, as Mamba does
+in its fused scan: it re-projects the input and rebuilds each block's decays
+and states from the saved state before it, with the same expressions as the
+forward, so the gradients are bit-identical to those of a kept history.
 """
 
 from __future__ import annotations
@@ -183,16 +190,12 @@ def _decays(delta_blk, a, out):
     return np.exp(out, out=out)
 
 
-def _scan_forward(u, a_log, wb, wc, wd, db, keep):
-    """u: (G, N, L, C); params stacked over G.  Returns readout y and cache.
+def _project(u, a_log, wb, wc, wd, db):
+    """B, C, the pre-softplus z, the step size delta and A of (G, N, L, C) u.
 
-    Projections run as batched matmuls.  The per-step state update is the only
-    sequential part; it runs block by block over time, and each block's decays
-    and states are built, swept and read out while still in cache.  The decays
-    always live in one block-sized buffer: the backward rebuilds them from the
-    cached delta and A.  With ``keep`` false no backward will run: the states
-    share that fate, only the last state is carried into the next block, and
-    the cache is None.  The per-step arithmetic is the same either way.
+    Whole-array batched matmuls over the flattened N*L rows.  The backward
+    re-projects with this same call: a projection of fewer rows may differ in
+    the last bit, so it is never done per time block.
     """
     g_, n_, l_, c_ = u.shape
     s_ = a_log.shape[-1]
@@ -200,42 +203,77 @@ def _scan_forward(u, a_log, wb, wc, wd, db, keep):
     b = np.matmul(u2, wb.transpose(0, 2, 1)).reshape(g_, n_, l_, s_)
     cc = np.matmul(u2, wc.transpose(0, 2, 1)).reshape(g_, n_, l_, s_)
     z = np.matmul(u2, wd[:, :, None]).reshape(g_, n_, l_) + db[:, None, None]
-    delta = _softplus(z)
-    a = -np.exp(a_log)  # (G, C, S)
+    return b, cc, z, _softplus(z), -np.exp(a_log)  # A: (G, C, S)
+
+
+def _states(ab, du_blk, b_blk, h_prev, h, tmp):
+    """States h_t of one time block, written into ``h``.
+
+    ``ab`` holds the block's decays, ``du_blk`` its delta * u as (Q, G, N, C, 1)
+    and ``b_blk`` its B as (Q, G, N, 1, S); ``h_prev`` is the state carried in
+    from the block before (None at t = 0).  The one expression for the states:
+    the backward rebuilds each block with it, so they are bit-identical to the
+    forward's.
+    """
+    np.matmul(du_blk, b_blk, out=h)  # B_bar u_t: K = 1, one product per element
+    if h_prev is not None:
+        np.multiply(ab[0], h_prev, out=tmp)
+        np.add(h[0], tmp, out=h[0])
+    for a_t, h_p, h_t in zip(ab[1:], h[:-1], h[1:]):
+        np.multiply(a_t, h_p, out=tmp)
+        np.add(h_t, tmp, out=h_t)
+    return h
+
+
+def _scan_forward(u, a_log, wb, wc, wd, db, keep):
+    """u: (G, N, L, C); params stacked over G.  Returns readout y and cache.
+
+    Projections run as batched matmuls.  The per-step state update is the only
+    sequential part; it runs block by block over time, and each block's decays
+    and states are built, swept and read out while still in cache, in two
+    block-sized buffers.  Only the last state of a block is carried into the
+    next.  With ``keep`` (a backward will run) that last state of every block
+    is also saved: the cache is those (n_blocks, G, N, C, S) boundary states
+    plus the parameters, and the backward re-projects u and rebuilds each
+    block's decays and states from the boundary state before it, with the same
+    expressions.  Without ``keep`` the cache is None.  The per-step arithmetic
+    is the same either way.
+    """
+    g_, n_, l_, c_ = u.shape
+    s_ = a_log.shape[-1]
+    b, cc, z, delta, a = _project(u, a_log, wb, wc, wd, db)
     delta_l = delta.transpose(2, 0, 1)                           # (L, G, N)
     dl = delta_l[:, :, :, None, None]                            # (L, G, N, 1, 1)
     u_t = u.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1)
     b_t = b.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, S)
     blocks = _time_blocks(l_, g_ * n_ * c_ * s_ * 8)
-    abar = np.empty((blocks[0][1], g_, n_, c_, s_))              # exp(delta * A)
-    hs = np.empty((l_ if keep else blocks[0][1], g_, n_, c_, s_))  # h_t
+    ab_blk, h_blk = (np.empty((blocks[0][1], g_, n_, c_, s_)) for _ in range(2))
+    bounds = np.empty((len(blocks) if keep else 1, g_, n_, c_, s_))  # h_{t1 - 1}
     cc_t = cc.transpose(2, 0, 1, 3)[..., None]                   # (L, G, N, S, 1)
     y = np.empty((g_, n_, l_, c_))
     y_t = y.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1) view
-    tmp = np.empty_like(abar[0])
-    h_last = np.empty_like(abar[0])                              # h_{t0 - 1}
-    for t0, t1 in blocks:
-        lo = t0 if keep else 0
-        ab, h = _decays(delta_l[t0:t1], a, abar[:t1 - t0]), hs[lo:lo + t1 - t0]
-        np.multiply(dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], out=h)  # B_bar u_t
-        if t0:
-            np.multiply(ab[0], h_last, out=tmp)
-            np.add(h[0], tmp, out=h[0])
-        for a_t, h_prev, h_t in zip(ab[1:], h[:-1], h[1:]):
-            np.multiply(a_t, h_prev, out=tmp)
-            np.add(h_t, tmp, out=h_t)
+    tmp = np.empty_like(ab_blk[0])
+    h_last = None                                                # h_{t0 - 1}
+    for i, (t0, t1) in enumerate(blocks):
+        ab = _decays(delta_l[t0:t1], a, ab_blk[:t1 - t0])
+        h = _states(ab, dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], h_last, h_blk[:t1 - t0], tmp)
+        h_last = bounds[i if keep else 0]
         np.copyto(h_last, h[-1])
         np.matmul(h, cc_t[t0:t1], out=y_t[t0:t1])                  # sum over s
-    cache = (u, b, cc, z, delta, a, hs, wb, wc, wd, a_log) if keep else None
+    cache = (bounds, a_log, wb, wc, wd, db) if keep else None
     return y, cache
 
 
-def _scan_backward(dy, cache):
-    """Adjoint of _scan_forward; returns du and per-parameter gradients."""
-    u, b, cc, z, delta, a, hs, wb, wc, wd, a_log = cache
+def _scan_backward(dy, u, cache):
+    """Adjoint of _scan_forward on the same u; returns du and parameter gradients."""
+    bounds, a_log, wb, wc, wd, db = cache
+    b, cc, z, delta, a = _project(u, a_log, wb, wc, wd, db)
     g_, n_, l_, c_ = u.shape
     s_ = b.shape[-1]
     delta_l = delta.transpose(2, 0, 1)                           # (L, G, N)
+    dl = delta_l[:, :, :, None, None]                            # (L, G, N, 1, 1)
+    u_t = u.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1)
+    b_t = b.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, S)
     dy_l = dy.transpose(2, 0, 1, 3)                              # (L, G, N, C)
     cc_l = cc.transpose(2, 0, 1, 3)                              # (L, G, N, S)
     u_r = u.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, C)
@@ -252,15 +290,19 @@ def _scan_backward(dy, cache):
     # A_bar = exp(delta*A): d/ddelta = A*A_bar, d/dA = delta*A_bar.  The decay
     # term A_bar[t+1] * gh[t+1] is also gh * A_bar at t+1, so the sweep keeps
     # it in `dab`; `carry` takes it across a block boundary.  Each block's
-    # decays are rebuilt as the forward built them, and its dA and d(delta)
+    # decays and states are rebuilt as the forward built them, the states from
+    # the boundary state saved for the block before, and its dA and d(delta)
     # shares are summed while `dab` is still in cache.
     blocks = _time_blocks(l_, g_ * n_ * c_ * s_ * 8)
-    ab_blk, gh_blk, dab_blk = (np.empty((blocks[0][1], g_, n_, c_, s_)) for _ in range(3))
+    ab_blk, h_blk, gh_blk, dab_blk = (np.empty((blocks[0][1], g_, n_, c_, s_)) for _ in range(4))
+    tmp = np.empty_like(ab_blk[0])
     carry = None
-    for t0, t1 in reversed(blocks):
+    for i, (t0, t1) in reversed(list(enumerate(blocks))):
+        h_prev = bounds[i - 1] if i else None                    # h_{t0 - 1}
         ab = _decays(delta_l[t0:t1], a, ab_blk[:t1 - t0])
+        h = _states(ab, dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], h_prev, h_blk[:t1 - t0], tmp)
         gh, dab = gh_blk[:t1 - t0], dab_blk[:t1 - t0]
-        np.matmul(dy_r[t0:t1], hs[t0:t1], out=dcc[t0:t1])       # sum over c
+        np.matmul(dy_r[t0:t1], h, out=dcc[t0:t1])                # sum over c
         np.einsum("qgnc,qgns->qgncs", dy_l[t0:t1], cc_l[t0:t1], out=gh)
         if carry is not None:
             gh[-1] += carry
@@ -268,12 +310,12 @@ def _scan_backward(dy, cache):
             np.multiply(a_next, g_next, out=d_next)
             np.add(g_t, d_next, out=g_t)
         # dA_bar * A_bar via the h_{t-1} factor; zero at t = 0
-        if t0:
-            carry = np.multiply(ab[0], gh[0], out=dab[0]).copy()
-            np.multiply(dab, hs[t0 - 1:t1 - 1], out=dab)
-        else:
+        if h_prev is None:
             dab[0] = 0.0
-            np.multiply(dab[1:], hs[:t1 - 1], out=dab[1:])
+        else:
+            carry = np.multiply(ab[0], gh[0], out=dab[0]).copy()
+            np.multiply(dab[0], h_prev, out=dab[0])
+        np.multiply(dab[1:], h[:-1], out=dab[1:])
         dab_k = dab.reshape(t1 - t0, g_, n_, c_ * s_)
         np.matmul(dab_k, a_k, out=ddelta[t0:t1])                 # sum over c, s
         da += np.einsum("qgnk,qgn->gk", dab_k, delta_l[t0:t1])
@@ -328,7 +370,7 @@ def selective_scan(u: Tensor, params: SsmParams) -> Tensor:
     out = y[0, 0] + params.D.data[None, :] * u.data
 
     def rule(g):
-        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(g[None, None], cache)
+        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(g[None, None], u.data[None, None], cache)
         dd = np.einsum("lc,lc->c", g, u.data)
         du = du[0, 0] + g * params.D.data[None, :]
         return (du, da_log[0], dwb[0], dwc[0], dwd[0], ddb[0].reshape(()), dd)
@@ -381,7 +423,7 @@ def scan2d(f: Tensor, params: Scan2dParams, orders: list[ScanOrder]) -> Tensor:
     readout = scatter(y)
 
     def rule(g):
-        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(gather(g), cache)
+        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(gather(g), gather(f.data), cache)
         grads = [scatter(du)]
         for g_i in range(len(perms)):
             grads.extend((da_log[g_i], dwb[g_i], dwc[g_i], dwd[g_i], ddb[g_i].reshape(())))
