@@ -9,7 +9,7 @@ outputs are concatenated and fused by a 1x1 conv.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -62,40 +62,34 @@ def init_freqssm_block(channels: int, state_dim: int, rng: np.random.Generator,
     )
 
 
-def spatial_branch(f_ln: Tensor, w: FreqSsmBlockWeights) -> Tensor:
-    """Mamba path on 1x1-projected features, gated by SiLU of the input."""
+def spatial_branch(f_ln: Tensor, gate: Tensor, w: FreqSsmBlockWeights) -> Tensor:
+    """Mamba path on 1x1-projected features, times the block's gate SiLU(f_ln)."""
     x = T.pointwise_conv(f_ln, w.spatial_pw.w, w.spatial_pw.b)
     if isinstance(w.spatial_mamba, MambaPipeWeights):
         x = S.spatial_mamba(x, w.spatial_mamba)
     else:
         x = T.conv2d(x, w.spatial_mamba.w, w.spatial_mamba.b, padding=1)
-    return T.mul(x, T.silu(f_ln))
+    return T.mul(x, gate)
 
 
-def band_branch(f_ln: Tensor, w: FreqSsmBlockWeights,
-                mamba_fn: Optional[Callable[[Tensor], Tensor]] = None) -> Tensor:
+def band_branch(f_ln: Tensor, gate: Tensor, w: FreqSsmBlockWeights) -> Tensor:
     """Packet-transform the features, scan the mosaic along the frequency
-    order, transform back, then gate by SiLU of the input.
-
-    ``mamba_fn`` substitutes the mosaic processor (identity oracles in tests).
-    """
+    order with ``scan.freq_mamba``, transform back, then multiply by the
+    block's gate SiLU(f_ln)."""
     n, c, h, wd_ = f_ln.data.shape
     k = wpt_level_for(h, wd_)
-    mosaic = W.wpt(f_ln, k)
-    if mamba_fn is None:
-        mosaic = S.freq_mamba(mosaic, w.band, k)
-    else:
-        mosaic = mamba_fn(mosaic)
-    return T.mul(W.iwpt(mosaic, k), T.silu(f_ln))
+    mosaic = S.freq_mamba(W.wpt(f_ln, k), w.band, k)
+    return T.mul(W.iwpt(mosaic, k), gate)
 
 
 def freqssm_block(f_in: Tensor, w: FreqSsmBlockWeights, debug_dir=None, tag: str = "block") -> Tensor:
     """Fuse the three branches; ``debug_dir`` dumps each branch output as FTD1."""
     f_ln = T.layer_norm(f_in, w.norm_gamma, w.norm_beta)
-    parts = [T.add(f_in, spatial_branch(f_ln, w))]
+    gate = T.silu(f_ln)
+    parts = [T.add(f_in, spatial_branch(f_ln, gate, w))]
     names = ["spatial"]
     if w.band is not None:
-        parts.append(band_branch(f_ln, w))
+        parts.append(band_branch(f_ln, gate, w))
         names.append("band")
     if w.fourier is not None:
         parts.append(fourier_branch(f_in, w.fourier))

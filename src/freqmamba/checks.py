@@ -125,23 +125,25 @@ def _wavelet_checks():
 
 
 def _scan_checks():
-    u = _rand((12, 3), 50)
-    p = S.init_ssm_params(3, 4, np.random.default_rng(51))
-    proj = np.random.default_rng(52).normal(size=(12, 3))
+    # a (1, C, 1, L) map with one raster order: each direction runs the 1-D
+    # recurrence over the L positions, forward and reversed
+    u = _rand((1, 3, 1, 12), 50)
+    p = S.init_scan2d_params(3, 4, 2, np.random.default_rng(51))
+    line = [S.order_raster(1, 12, "row_fwd")]
 
     def scan_loss(params, seq):
-        return T.sum_all(T.mul(S.selective_scan(seq, params), Tensor(proj)))
+        return _wsum(S.scan2d(seq, params, line), 52)
 
-    yield "selective_scan.input", 1e-5, lambda: grad_check(lambda t: scan_loss(p, t), u)
+    yield "scan2d_1xL.input", 1e-5, lambda: grad_check(lambda t: scan_loss(p, t), u)
     for field in ("A_log", "proj_B", "proj_C", "proj_delta", "delta_bias"):
         def make(field=field):
             def f(t):
-                dyn = dataclasses.replace(p.dynamics, **{field: t})
-                return scan_loss(dataclasses.replace(p, dynamics=dyn), u)
-            return grad_check(f, getattr(p.dynamics, field))
-        yield f"selective_scan.{field}", 1e-5, make
-    yield "selective_scan.D", 1e-5, lambda: grad_check(
-        lambda t: scan_loss(dataclasses.replace(p, D=t), u), p.D)
+                d0 = dataclasses.replace(p.directions[0], **{field: t})
+                return scan_loss(dataclasses.replace(p, directions=(d0, *p.directions[1:])), u)
+            return grad_check(f, getattr(p.directions[0], field))
+        yield f"scan2d_1xL.{field}", 1e-5, make
+    yield "scan2d_1xL.skip", 1e-5, lambda: grad_check(
+        lambda t: scan_loss(dataclasses.replace(p, skip=t), u), p.skip)
 
     f2d = _rand((1, 2, 4, 4), 53)
     p2d = S.init_scan2d_params(2, 3, 2, np.random.default_rng(54))
@@ -163,9 +165,9 @@ def _block_checks():
     g = B.init_attention_gen(2, 3, np.random.default_rng(72))
     img = _rand((1, 3, 8, 8), 73, 0.5)
     yield "spatial_branch", 1e-5, lambda: grad_check(
-        lambda t: _wsum(B.spatial_branch(t, w), 74), x)
+        lambda t: _wsum(B.spatial_branch(t, T.silu(t), w), 74), x)
     yield "band_branch", 1e-5, lambda: grad_check(
-        lambda t: _wsum(B.band_branch(t, w), 75), x)
+        lambda t: _wsum(B.band_branch(t, T.silu(t), w), 75), x)
     yield "freqssm_block", 1e-4, lambda: grad_check(
         lambda t: _wsum(B.freqssm_block(t, w), 76), x)
     yield "degradation_attention", 1e-5, lambda: grad_check(

@@ -67,16 +67,6 @@ def idft2(s: Spectrum) -> Tensor:
     return make_node(y, (s.real, s.imag), rule, "idft2")
 
 
-def dft2_direct(x: np.ndarray) -> np.ndarray:
-    """Brute-force double-sum DFT; the independent oracle for dft2."""
-    h, w = x.shape[-2:]
-    u = np.arange(h)[:, None] * np.arange(h)[None, :] / h
-    v = np.arange(w)[:, None] * np.arange(w)[None, :] / w
-    eh = np.exp(-2j * np.pi * u)
-    ew = np.exp(-2j * np.pi * v)
-    return np.einsum("uh,...hw,wv->...uv", eh, x, ew)
-
-
 def to_amp_phase(s: Spectrum) -> AmpPhase:
     """amplitude = sqrt(R^2 + I^2), phase = atan2(I, R); atan2(0, 0) is 0."""
     r, i = s.real, s.imag
@@ -179,20 +169,3 @@ def init_fourier_branch(channels: int, rng: np.random.Generator) -> FourierBranc
                                 amp_pw=init_conv(rng, channels, channels, 1),
                                 pha_pw=init_conv(rng, channels, channels, 1),
                                 amp_block=block(), pha_block=block())
-
-
-def identity_fourier_branch(channels: int) -> FourierBranchWeights:
-    """Weights under which the branch is a pure DFT round trip of F0 = F_in."""
-    def ident(k):
-        w = np.zeros((channels, channels, k, k))
-        for c in range(channels):
-            w[c, c, k // 2, k // 2] = 1.0
-        return ConvWeights(Tensor(w, requires_grad=True), Tensor(np.zeros(channels), requires_grad=True))
-
-    def zero_block():
-        return ConvBlockWeights(ident(1),
-                                ConvWeights(Tensor(np.zeros((channels, channels, 1, 1)), requires_grad=True),
-                                            Tensor(np.zeros(channels), requires_grad=True)))
-
-    return FourierBranchWeights(entry=ident(3), amp_pw=ident(1), pha_pw=ident(1),
-                                amp_block=zero_block(), pha_block=zero_block())

@@ -117,23 +117,12 @@ class SsmDynamics:
 
 
 @dataclass
-class SsmParams:
-    """Dynamics plus the per-channel skip D for the standalone 1D scan."""
-
-    dynamics: SsmDynamics
-    D: Tensor  # (C,)
-
-    @property
-    def state_dim(self) -> int:
-        return self.dynamics.state_dim
-
-
-@dataclass
 class Scan2dParams:
     """Independent dynamics per traversal direction plus one shared skip.
 
-    The skip path is applied once to the 2D input rather than once per
-    direction, so C == 0 together with skip == 1 makes scan2d the identity.
+    The skip is applied once to the 2D input, inside the scan2d node, rather
+    than once per direction, so C == 0 together with skip == 1 makes scan2d
+    the identity.
     """
 
     directions: tuple[SsmDynamics, ...]
@@ -153,11 +142,6 @@ def init_dynamics(channels: int, state_dim: int, rng: np.random.Generator) -> Ss
         proj_delta=Tensor(rng.normal(0, std, channels), requires_grad=True),
         delta_bias=Tensor(np.float64(bias), requires_grad=True),
     )
-
-
-def init_ssm_params(channels: int, state_dim: int, rng: np.random.Generator) -> SsmParams:
-    return SsmParams(init_dynamics(channels, state_dim, rng),
-                     Tensor(np.ones(channels), requires_grad=True))
 
 
 def init_scan2d_params(channels: int, state_dim: int, n_directions: int,
@@ -303,7 +287,7 @@ def _scan_backward(dy, u, cache):
         h = _states(ab, dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], h_prev, h_blk[:t1 - t0], tmp)
         gh, dab = gh_blk[:t1 - t0], dab_blk[:t1 - t0]
         np.matmul(dy_r[t0:t1], h, out=dcc[t0:t1])                # sum over c
-        np.einsum("qgnc,qgns->qgncs", dy_l[t0:t1], cc_l[t0:t1], out=gh)
+        np.matmul(dy_l[t0:t1, ..., None], cc_l[t0:t1, :, :, None, :], out=gh)  # K = 1
         if carry is not None:
             gh[-1] += carry
         for a_next, g_next, g_t, d_next in zip(ab[:0:-1], gh[:0:-1], gh[-2::-1], dab[:0:-1]):
@@ -353,42 +337,20 @@ def _stack_dynamics(dirs):
             np.stack([np.asarray(d.delta_bias.data).reshape(()) for d in dirs]))
 
 
-def selective_scan(u: Tensor, params: SsmParams) -> Tensor:
-    """Run the selective recurrence over a single (L, C) sequence.
-
-    y_t = <C_t, h_t> + D * u_t with h_0 = 0.
-    """
-    if u.data.ndim != 2:
-        raise ShapeError(f"selective_scan expects an (L, C) sequence, got shape {u.data.shape}")
-    l_, c_ = u.data.shape
-    dyn = params.dynamics
-    if dyn.A_log.data.shape[0] != c_:
-        raise ShapeError(f"params built for C={dyn.A_log.data.shape[0]}, sequence has C={c_}")
-    parents = (u, *dyn.tensors(), params.D)
-    stacked = _stack_dynamics([dyn])
-    y, cache = _scan_forward(u.data[None, None], *stacked, T.records(parents))
-    out = y[0, 0] + params.D.data[None, :] * u.data
-
-    def rule(g):
-        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(g[None, None], u.data[None, None], cache)
-        dd = np.einsum("lc,lc->c", g, u.data)
-        du = du[0, 0] + g * params.D.data[None, :]
-        return (du, da_log[0], dwb[0], dwc[0], dwd[0], ddb[0].reshape(()), dd)
-
-    return make_node(out, parents, rule, "selective_scan")
-
-
 def scan2d(f: Tensor, params: Scan2dParams, orders: list[ScanOrder]) -> Tensor:
     """Directional selective scans over a feature map, merged by summation.
 
-    Each order is traversed forward and reversed with its own dynamics;
-    the shared per-channel skip is applied once to the input itself.
+    Each order is traversed forward and reversed with its own dynamics; the
+    shared per-channel skip is applied once to the input itself, inside the
+    same tape node: out = sum of the readouts + skip[c] * f.
     """
     T._check_4d(f, "scan2d")
     n, c, h, w = f.data.shape
     if len(params.directions) != 2 * len(orders):
         raise ShapeError(f"scan2d needs 2 direction parameter sets per order: "
                          f"{len(orders)} orders but {len(params.directions)} sets")
+    if params.skip.data.shape != (c,):
+        raise ShapeError(f"scan2d expects a skip of shape ({c},), got {params.skip.data.shape}")
     perms = []
     for order in orders:
         if order.forward.size != h * w:
@@ -418,19 +380,19 @@ def scan2d(f: Tensor, params: Scan2dParams, orders: list[ScanOrder]) -> Tensor:
     parents = [f]
     for d in params.directions:
         parents.extend(d.tensors())
-    stacked = _stack_dynamics(params.directions)
-    y, cache = _scan_forward(gather(f.data), *stacked, T.records(parents))
-    readout = scatter(y)
+    parents.append(params.skip)
+    fd, skip = f.data, params.skip.data[None, :, None, None]
+    y, cache = _scan_forward(gather(fd), *_stack_dynamics(params.directions), T.records(parents))
 
     def rule(g):
-        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(gather(g), gather(f.data), cache)
-        grads = [scatter(du)]
+        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(gather(g), gather(fd), cache)
+        grads = [scatter(du) + g * skip]
         for g_i in range(len(perms)):
             grads.extend((da_log[g_i], dwb[g_i], dwc[g_i], dwd[g_i], ddb[g_i].reshape(())))
+        grads.append(np.einsum("nchw,nchw->c", g, fd))
         return tuple(grads)
 
-    node = make_node(readout, tuple(parents), rule, "scan2d")
-    return T.add(node, T.channel_scale(f, params.skip))
+    return make_node(scatter(y) + fd * skip, tuple(parents), rule, "scan2d")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode autodiff over a fixed op set.
 
-Feature maps are NCHW throughout; a handful of ops also accept other ranks
-(scalars for losses, (L, C) sequences for the scan module).  Every operation
-is a pure function returning a fresh Tensor; recorded backward rules map the
-output gradient to per-parent gradients.
+Feature maps are NCHW throughout; the elementwise ops and the reductions
+also accept other ranks (scalars for losses).  Every operation is a pure
+function returning a fresh Tensor; recorded backward rules map the output
+gradient to per-parent gradients.
 """
 
 from __future__ import annotations
@@ -50,24 +50,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op}, requires_grad={self.requires_grad})"
-
-    # Small conveniences for readable composite expressions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def records(parents: Sequence[Tensor]) -> bool:

@@ -1,7 +1,14 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from freqmamba import wavelet
+from freqmamba.fourier import ConvBlockWeights, ConvWeights, FourierBranchWeights
+from freqmamba.tensor import Tensor
+
+_ORACLES = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"))
 
 
 def _tile_rank_map(h, w, k):
@@ -59,3 +66,56 @@ def _packet_oracle(x, k, inverse=False):
 def packet_oracle():
     """Per-band Haar packet oracle that `wavelet.wpt` and `wavelet.iwpt` are checked against."""
     return _packet_oracle
+
+
+def _scan_oracle(f, directions, perms, skip):
+    """Plain-loop scan of an (N, C, H, W) array: direction g (an SsmDynamics)
+    visits the flat pixel indices perms[g]; the readouts are summed, plus skip * f."""
+    dirs = [{"A_log": d.A_log.data, "proj_B": d.proj_B.data, "proj_C": d.proj_C.data,
+             "proj_delta": d.proj_delta.data, "delta_bias": d.delta_bias.data} for d in directions]
+    return _ORACLES["scan2d"](f, dirs, perms, skip)
+
+
+@pytest.fixture
+def scan_oracle():
+    """The step-by-step scan of `perfbench/oracles.py` that `scan.scan2d` is checked against."""
+    return _scan_oracle
+
+
+def _dft2_direct(x):
+    """Brute-force double-sum DFT over the last two axes."""
+    h, w = x.shape[-2:]
+    u = np.arange(h)[:, None] * np.arange(h)[None, :] / h
+    v = np.arange(w)[:, None] * np.arange(w)[None, :] / w
+    eh = np.exp(-2j * np.pi * u)
+    ew = np.exp(-2j * np.pi * v)
+    return np.einsum("uh,...hw,wv->...uv", eh, x, ew)
+
+
+@pytest.fixture
+def dft2_direct():
+    """Double-sum DFT oracle that `fourier.dft2` is checked against."""
+    return _dft2_direct
+
+
+def _identity_fourier_branch(channels):
+    """Weights under which `fourier.fourier_branch` is a pure DFT round trip of its input."""
+    def ident(k):
+        w = np.zeros((channels, channels, k, k))
+        for c in range(channels):
+            w[c, c, k // 2, k // 2] = 1.0
+        return ConvWeights(Tensor(w, requires_grad=True), Tensor(np.zeros(channels), requires_grad=True))
+
+    def zero_block():
+        zero = ConvWeights(Tensor(np.zeros((channels, channels, 1, 1)), requires_grad=True),
+                           Tensor(np.zeros(channels), requires_grad=True))
+        return ConvBlockWeights(ident(1), zero)
+
+    return FourierBranchWeights(entry=ident(3), amp_pw=ident(1), pha_pw=ident(1),
+                                amp_block=zero_block(), pha_block=zero_block())
+
+
+@pytest.fixture
+def identity_fourier_branch():
+    """Builder of identity Fourier-branch weights, by channel count."""
+    return _identity_fourier_branch

@@ -28,14 +28,14 @@ def weighted(x, w):
 def test_spatial_branch_zero_input():
     w = make_block(seed=1)
     f_ln = Tensor(np.zeros((1, 2, 8, 8)))
-    out = B.spatial_branch(f_ln, w)
+    out = B.spatial_branch(f_ln, T.silu(f_ln), w)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_spatial_branch_multiplicative_structure():
     w = make_block(seed=2)
     f_ln = rand((1, 2, 8, 8), seed=3)
-    out = B.spatial_branch(f_ln, w)
+    out = B.spatial_branch(f_ln, T.silu(f_ln), w)
     gate = T.silu(f_ln).data
     mamba_path = S.spatial_mamba(T.pointwise_conv(f_ln, w.spatial_pw.w, w.spatial_pw.b),
                                  w.spatial_mamba).data
@@ -46,7 +46,7 @@ def test_spatial_branch_grad_check():
     w = make_block(seed=4)
     x = rand((1, 2, 8, 8), seed=5)
     proj = np.random.default_rng(6).normal(size=(1, 2, 8, 8))
-    assert grad_check(lambda t: weighted(B.spatial_branch(t, w), proj), x) < 1e-5
+    assert grad_check(lambda t: weighted(B.spatial_branch(t, T.silu(t), w), proj), x) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +55,16 @@ def test_spatial_branch_grad_check():
 
 def test_band_branch_zero_input():
     w = make_block(seed=7)
-    out = B.band_branch(Tensor(np.zeros((1, 2, 8, 8))), w)
+    f_ln = Tensor(np.zeros((1, 2, 8, 8)))
+    out = B.band_branch(f_ln, T.silu(f_ln), w)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
-def test_band_branch_identity_mamba_reduces_to_gated_identity():
+def test_band_branch_identity_mamba_reduces_to_gated_identity(monkeypatch):
+    monkeypatch.setattr(S, "freq_mamba", lambda mosaic, w, k: mosaic)
     w = make_block(seed=8)
     f_ln = rand((1, 2, 8, 8), seed=9)
-    out = B.band_branch(f_ln, w, mamba_fn=lambda m: m)
+    out = B.band_branch(f_ln, T.silu(f_ln), w)
     want = T.mul(f_ln, T.silu(f_ln)).data
     np.testing.assert_allclose(out.data, want, atol=1e-9)
 
@@ -71,13 +73,13 @@ def test_band_branch_grad_check():
     w = make_block(seed=10)
     x = rand((1, 2, 8, 8), seed=11)
     proj = np.random.default_rng(12).normal(size=(1, 2, 8, 8))
-    assert grad_check(lambda t: weighted(B.band_branch(t, w), proj), x) < 1e-5
+    assert grad_check(lambda t: weighted(B.band_branch(t, T.silu(t), w), proj), x) < 1e-5
 
 
 def test_band_branch_graph_has_one_node_per_transform():
     w = make_block(seed=17)
     f_ln = Tensor(np.random.default_rng(18).normal(size=(2, 2, 8, 8)), requires_grad=True)
-    seen, stack, ops = set(), [B.band_branch(f_ln, w)], []
+    seen, stack, ops = set(), [B.band_branch(f_ln, T.silu(f_ln), w)], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -93,14 +95,16 @@ def test_band_branch_uses_k1_when_quarter_not_divisible():
     assert B.wpt_level_for(2, 2) == 1
     assert B.wpt_level_for(8, 8) == 2
     w = make_block(seed=13)
-    out = B.band_branch(rand((1, 2, 2, 2), seed=14), w)
+    f_ln = rand((1, 2, 2, 2), seed=14)
+    out = B.band_branch(f_ln, T.silu(f_ln), w)
     assert out.data.shape == (1, 2, 2, 2)
 
 
 def test_band_branch_odd_size_error():
     w = make_block(seed=15)
     with pytest.raises(ShapeError):
-        B.band_branch(rand((1, 2, 3, 3), seed=16), w)
+        f_ln = rand((1, 2, 3, 3), seed=16)
+        B.band_branch(f_ln, T.silu(f_ln), w)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +151,7 @@ def test_freqssm_block_degenerates_to_residual_spatial_block():
     x = rand((1, 2, 8, 8), seed=26)
     got = B.freqssm_block(x, w)
     f_ln = T.layer_norm(x, w.norm_gamma, w.norm_beta)
-    want = T.add(x, B.spatial_branch(f_ln, w))
+    want = T.add(x, B.spatial_branch(f_ln, T.silu(f_ln), w))
     np.testing.assert_allclose(got.data, want.data, atol=1e-9)
 
 

@@ -38,10 +38,10 @@ def test_idft2_inverts_dft2():
 
 
 @pytest.mark.parametrize("h,w", [(1, 1), (2, 3), (5, 5), (8, 4), (16, 16), (7, 16)])
-def test_dft2_matches_direct_sum(h, w):
+def test_dft2_matches_direct_sum(h, w, dft2_direct):
     x = np.random.default_rng(h * 31 + w).normal(size=(1, 2, h, w))
     got = F.dft2(Tensor(x))
-    want = F.dft2_direct(x)
+    want = dft2_direct(x)
     np.testing.assert_allclose(got.real.data, want.real, atol=1e-6)
     np.testing.assert_allclose(got.imag.data, want.imag, atol=1e-6)
 
@@ -157,9 +157,9 @@ def _reference_fourier_branch(x, w):
     return np.real(np.fft.ifft2(amp * np.exp(1j * pha), axes=(2, 3)))
 
 
-def test_fourier_branch_identity_parameterization():
+def test_fourier_branch_identity_parameterization(identity_fourier_branch):
     x = rand((1, 3, 8, 8), seed=10)
-    w = F.identity_fourier_branch(3)
+    w = identity_fourier_branch(3)
     out = F.fourier_branch(x, w)
     # entry conv is identity, so F0 = x and the branch is a pure round trip
     np.testing.assert_allclose(out.data, x.data, atol=1e-9)

@@ -12,32 +12,32 @@ from freqmamba.errors import ShapeError
 from freqmamba.tensor import Tensor, grad_check
 
 
-def naive_selective_scan(u, a_log, wb, wc, wd, db, d_skip):
-    """Step-by-step reference recurrence, one scalar step at a time."""
-    l_, c_ = u.shape
-    s_ = a_log.shape[1]
-    a = -np.exp(a_log)
-    h = np.zeros((c_, s_))
-    y = np.zeros((l_, c_))
-    for t in range(l_):
-        ut = u[t]
-        bt = wb @ ut
-        ct = wc @ ut
-        z = float(wd @ ut + db)
-        delta = np.log1p(np.exp(-abs(z))) + max(z, 0.0)
-        h = np.exp(delta * a) * h + delta * bt[None, :] * ut[:, None]
-        y[t] = h @ ct + d_skip * ut
-    return y
+def line_params(c, s, seed):
+    """scan2d parameters for a 1xL map whose reverse direction reads out 0.
+
+    With the reverse direction's proj_C zeroed its readout is exactly 0, so
+    scan2d on the map is the 1-D recurrence of direction 0 plus the skip.
+    """
+    p = S.init_scan2d_params(c, s, 2, np.random.default_rng(seed))
+    p.directions[1].proj_C.data[:] = 0.0
+    return p
 
 
-def make_params(c, s, seed):
-    return S.init_ssm_params(c, s, np.random.default_rng(seed))
+def as_line(u):
+    """An (L, C) sequence as a (1, C, 1, L) map."""
+    l_, c = u.shape
+    return u.T.reshape(1, c, 1, l_)
 
 
-def params_arrays(p):
-    d = p.dynamics
-    return (d.A_log.data, d.proj_B.data, d.proj_C.data, d.proj_delta.data,
-            float(d.delta_bias.data), p.D.data)
+def run_line(f, p):
+    """scan2d of a (1, C, 1, L) map along its one row."""
+    return S.scan2d(f, p, [S.order_raster(1, f.data.shape[3], "row_fwd")])
+
+
+def line_oracle(scan_oracle, u, dyn, skip):
+    """The plain-loop oracle of one direction's dynamics over an (L, C) sequence."""
+    y = scan_oracle(as_line(u), [dyn], [np.arange(len(u))], skip)
+    return y[0, :, 0].T
 
 
 # ---------------------------------------------------------------------------
@@ -100,43 +100,41 @@ def test_order_freq_blocks_divisibility_error():
 
 
 # ---------------------------------------------------------------------------
-# selective_scan
+# the selective scan over one line: scan2d on a 1xL map
 
 
 def test_selective_scan_pure_skip_identity():
-    p = make_params(3, 4, seed=0)
-    p.dynamics.proj_C.data[:] = 0.0
-    p.D.data[:] = 1.0
-    u = Tensor(np.random.default_rng(1).normal(size=(16, 3)))
-    y = S.selective_scan(u, p)
-    np.testing.assert_array_equal(y.data, u.data)
+    p = line_params(3, 4, seed=0)
+    p.directions[0].proj_C.data[:] = 0.0
+    p.skip.data[:] = 1.0
+    f = Tensor(as_line(np.random.default_rng(1).normal(size=(16, 3))))
+    np.testing.assert_array_equal(run_line(f, p).data, f.data)
 
 
 def test_selective_scan_single_step_hand_unroll():
-    p = make_params(1, 1, seed=2)
-    u = Tensor(np.array([[0.7]]))
-    a, wb, wc, wd, db, d = params_arrays(p)
+    p = line_params(1, 1, seed=2)
+    d = p.directions[0]
+    a, wb, wc, wd, db = (np.asarray(t.data) for t in d.tensors())
     ut = 0.7
     bt = wb[0, 0] * ut
     ct = wc[0, 0] * ut
     z = wd[0] * ut + db
     delta = np.log1p(np.exp(z))
-    want = ct * (delta * bt) * ut + d[0] * ut
-    got = S.selective_scan(u, p).data[0, 0]
+    want = ct * (delta * bt) * ut + p.skip.data[0] * ut
+    got = run_line(Tensor(np.full((1, 1, 1, 1), ut)), p).data[0, 0, 0, 0]
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_selective_scan_matches_naive(seed):
+def test_selective_scan_matches_naive(seed, scan_oracle):
     rng = np.random.default_rng(seed)
     c = int(rng.integers(1, 5))
     s = int(rng.integers(1, 9))
     l_ = int(rng.integers(1, 257))
-    p = make_params(c, s, seed=seed + 100)
-    u = Tensor(rng.normal(size=(l_, c)))
-    got = S.selective_scan(u, p).data
-    want = naive_selective_scan(u.data, *params_arrays(p))
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    p = line_params(c, s, seed=seed + 100)
+    u = rng.normal(size=(l_, c))
+    got = run_line(Tensor(as_line(u)), p).data[0, :, 0].T
+    np.testing.assert_allclose(got, line_oracle(scan_oracle, u, p.directions[0], p.skip.data), atol=1e-12)
 
 
 def test_selective_scan_stability_bound(monkeypatch):
@@ -144,9 +142,9 @@ def test_selective_scan_stability_bound(monkeypatch):
     monkeypatch.setattr(S, "_BLOCK_BYTES", 4 * 8 * 8)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        p = make_params(4, 8, seed=seed)
+        dyn = S.init_dynamics(4, 8, np.random.default_rng(seed))
         u = np.clip(rng.normal(size=(128, 4)), -1, 1)
-        stacked = S._stack_dynamics([p.dynamics])
+        stacked = S._stack_dynamics([dyn])
         y, cache = S._scan_forward(u[None, None], *stacked, True)
         hs = cache[0]
         assert hs.shape == (128, 1, 1, 4, 8)
@@ -160,33 +158,35 @@ def test_selective_scan_stability_bound(monkeypatch):
 
 
 def test_selective_scan_rejects_bad_rank():
-    p = make_params(2, 2, seed=3)
-    with pytest.raises(ShapeError, match="sequence"):
-        S.selective_scan(Tensor(np.zeros((1, 2, 4, 4))), p)
+    p = S.init_scan2d_params(2, 2, 2, np.random.default_rng(3))
+    order = [S.order_raster(1, 4, "row_fwd")]
+    for shape in [(4, 2), (1, 2, 4), (1, 1, 2, 1, 4)]:
+        with pytest.raises(ShapeError, match="NCHW"):
+            S.scan2d(Tensor(np.zeros(shape)), p, order)
 
 
 def test_selective_scan_grad_all_groups():
     rng = np.random.default_rng(4)
-    p = make_params(3, 4, seed=5)
-    u = Tensor(rng.normal(size=(12, 3)))
-    proj = rng.normal(size=(12, 3))
+    p = line_params(3, 4, seed=5)
+    f = Tensor(as_line(rng.normal(size=(12, 3))))
+    proj = rng.normal(size=(1, 3, 1, 12))
 
-    def loss_with(params, seq):
-        return T.sum_all(T.mul(S.selective_scan(seq, params), Tensor(proj)))
+    def loss_with(params, x):
+        return T.sum_all(T.mul(run_line(x, params), Tensor(proj)))
 
-    assert grad_check(lambda t: loss_with(p, t), u) < 1e-5
+    assert grad_check(lambda t: loss_with(p, t), f) < 1e-5
 
-    dyn = p.dynamics
+    dyn = p.directions[0]
     fields = ["A_log", "proj_B", "proj_C", "proj_delta", "delta_bias"]
     for field in fields:
-        def f(t, field=field):
-            d2 = dataclasses.replace(dyn, **{field: t})
-            return loss_with(dataclasses.replace(p, dynamics=d2), u)
+        def g(t, field=field):
+            d0 = dataclasses.replace(dyn, **{field: t})
+            return loss_with(dataclasses.replace(p, directions=(d0, p.directions[1])), f)
 
-        err = grad_check(f, getattr(dyn, field))
+        err = grad_check(g, getattr(dyn, field))
         assert err < 1e-5, (field, err)
 
-    err = grad_check(lambda t: loss_with(dataclasses.replace(p, D=t), u), p.D)
+    err = grad_check(lambda t: loss_with(dataclasses.replace(p, skip=t), f), p.skip)
     assert err < 1e-5
 
 
@@ -327,15 +327,21 @@ def kernel_args(a_log, wb, wc, wd, db):
     return a_log[None], wb[None], wc[None], wd[None], np.array([db])
 
 
+def loop_scan(scan_oracle, u, a_log, wb, wc, wd, db):
+    """The plain-loop oracle on one case's arrays, with no skip."""
+    dyn = S.SsmDynamics(*(Tensor(v) for v in (a_log, wb, wc, wd, db)))
+    return line_oracle(scan_oracle, u, dyn, np.zeros(1))
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(l_=st.sampled_from(SCAN_LENGTHS), log_delta=st.floats(-4.0, np.log10(50.0)),
        a_log=st.floats(-2.0, 3.0), proj=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
        seed=st.integers(0, 2 ** 16))
-def test_scan_forward_matches_naive_loop(monkeypatch, l_, log_delta, a_log, proj, seed):
+def test_scan_forward_matches_naive_loop(monkeypatch, scan_oracle, l_, log_delta, a_log, proj, seed):
     monkeypatch.setattr(S, "_BLOCK_BYTES", 8 * Q)
     assert S._time_blocks(100, 8)[0] == (0, Q)
     u, a, wb, wc, wd, db = unit_scan_case(l_, log_delta, a_log, proj, seed)
-    want = naive_selective_scan(u, a, wb, wc, wd, db, np.zeros(1))
+    want = loop_scan(scan_oracle, u, a, wb, wc, wd, db)
     for keep in (True, False):
         y, _ = S._scan_forward(u[None, None], *kernel_args(a, wb, wc, wd, db), keep)
         np.testing.assert_allclose(y[0, 0], want, rtol=1e-12, atol=1e-15)
@@ -345,7 +351,8 @@ def test_scan_forward_matches_naive_loop(monkeypatch, l_, log_delta, a_log, proj
 @given(l_=st.sampled_from([1, 2, 5, Q - 1, Q + 1, 2 * Q + 3, 3 * Q + 2]),
        log_delta=st.floats(-4.0, np.log10(50.0)), a_log=st.floats(-2.0, 3.0),
        proj=st.tuples(*[st.floats(-1.0, 1.0)] * 3), seed=st.integers(0, 2 ** 16))
-def test_scan_backward_matches_naive_loop_differences(monkeypatch, l_, log_delta, a_log, proj, seed):
+def test_scan_backward_matches_naive_loop_differences(monkeypatch, scan_oracle, l_, log_delta, a_log,
+                                                      proj, seed):
     # every gradient of sum(dy * y) against central differences of the loop
     monkeypatch.setattr(S, "_BLOCK_BYTES", 8 * Q)
     u, a, wb, wc, wd, db = unit_scan_case(l_, log_delta, a_log, proj, seed)
@@ -358,7 +365,7 @@ def test_scan_backward_matches_naive_loop_differences(monkeypatch, l_, log_delta
     def loss(i, idx, step):
         moved = [x.copy() for x in args]
         moved[i][idx] += step
-        y = naive_selective_scan(*moved[:5], float(moved[5][0]), np.zeros(1))
+        y = loop_scan(scan_oracle, *moved[:5], float(moved[5][0]))
         return float((dy * y).sum())
 
     for i, grad in enumerate(grads):

@@ -240,6 +240,32 @@ def test_train_config_validation():
     assert small_tc(total_iters=7, progressive=((16, 1), (32, 1))).stage_bounds() == [3, 4]
 
 
+def test_train_step_tape(monkeypatch):
+    # One scan2d node per scan (its skip inside it) and one SiLU gate per
+    # block: the tape of a default 32x32 batch-8 step, before its backward.
+    tapes = []
+    real = TR.backward
+
+    def count(loss):
+        ops, seen, stack = [], set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node.requires_grad:
+                seen.add(id(node))
+                if node.op != "leaf":
+                    ops.append(node.op)
+                stack.extend(node.parents)
+        tapes.append(ops)
+        real(loss)
+
+    monkeypatch.setattr(TR, "backward", count)
+    mc = M.ModelConfig()
+    TR.train(M.build(mc, 1), small_tc(total_iters=1, progressive=((32, 8),), seed=1), mc)
+    (ops,) = tapes
+    assert len(ops) == 337 and len(set(ops)) == 23
+    assert "channel_scale" not in ops and ops.count("scan2d") == 17 and ops.count("silu") == 35
+
+
 def test_eval_pairs_runs():
     model = M.build(SMALL_MC, seed=3)
     pairs = TR.synth_rain(TR.RainSynthParams(), seed=6, n=2, size=(32, 32))

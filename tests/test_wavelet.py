@@ -155,7 +155,7 @@ def test_wavelet_grad_checks():
 
     def f_dwt(t):
         b = W.dwt2(t)
-        return T.sum_all(T.mul(b.hh, Tensor(w1))) + T.sum_all(T.mul(b.ll, Tensor(w1b)))
+        return T.add(T.sum_all(T.mul(b.hh, Tensor(w1))), T.sum_all(T.mul(b.ll, Tensor(w1b))))
 
     def f_roundtrip(t):
         return T.sum_all(T.mul(W.iwpt(W.wpt(t, 2), 2), Tensor(w2)))
