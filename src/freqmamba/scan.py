@@ -8,12 +8,17 @@ y_t = <C_t, h_t> (+ skip).  The loop is inherently sequential along L but
 vectorized over batch, channels, states and stacked scan directions; the
 backward pass runs the adjoint recurrence analytically.
 
-The loop runs in time blocks sized to stay in cache.  A recorded scan keeps
-only the last state of each block, O(L / Q) memory for Q-step blocks, instead
-of the full state history.  The backward recomputes the rest, as Mamba does
-in its fused scan: it re-projects the input and rebuilds each block's decays
-and states from the saved state before it, with the same expressions as the
-forward, so the gradients are bit-identical to those of a kept history.
+The scan streams one time block at a time, each block sized to stay in
+cache.  Per block and for every direction it row-takes the block's steps from
+one (N, L, C) copy of the map, projects B, C and delta for them, builds the
+decays and states, reads out and adds the readout into the (N, L, C) output
+where the steps came from.  Besides that output no array spans the sequence.
+A recorded scan also keeps the last state of each block, O(L / Q) memory for
+Q-step blocks.  The backward recomputes the rest, as Mamba does in its fused
+scan: it streams the blocks last to first, re-gathers and re-projects each
+with the forward's own per-block call and rebuilds its states from the saved
+state before it, so they are the forward's bit for bit, and it scatters the
+input gradient and adds the parameter gradients block by block.
 """
 
 from __future__ import annotations
@@ -164,30 +169,48 @@ def _time_blocks(l_: int, step_bytes: int) -> list[tuple[int, int]]:
     return [(t0, min(t0 + q, l_)) for t0 in range(0, l_, q)]
 
 
-def _decays(delta_blk, a, out):
-    """A_bar = exp(delta * A) of one time block, written into ``out``.
+def _gather(rows, perms, t0, t1, buf):
+    """Steps t0..t1 of every direction as a (G, N, Q, C) block, one row take each.
 
-    The one expression for the decays: the backward rebuilds them with it, so
-    they are bit-identical to the forward's.
+    ``rows`` is the (N, L, C) map, ``perms[g]`` the positions direction g
+    visits, and ``buf`` a flat buffer that the block is laid out in.
     """
+    n_, _, c_ = rows.shape
+    seq = buf[:len(perms) * n_ * (t1 - t0) * c_].reshape(len(perms), n_, t1 - t0, c_)
+    for s, p in zip(seq, perms):
+        np.take(rows, p[t0:t1], axis=1, out=s, mode="clip")  # "clip": no buffered copy
+    return seq
+
+
+def _scatter_add(out, perms, t0, t1, seq):
+    """Adjoint of _gather: adds each direction's (N, Q, C) block into (N, L, C) ``out``.
+
+    A direction visits a position once, so no index repeats within one add.
+    """
+    for s, p in zip(seq, perms):
+        out[:, p[t0:t1]] += s
+
+
+def _decays(delta_blk, a, out):
+    """A_bar = exp(delta * A) of one time block, written into ``out``."""
     np.multiply(delta_blk[:, :, :, None, None], a[None, :, None], out=out)
     return np.exp(out, out=out)
 
 
-def _project(u, a_log, wb, wc, wd, db):
-    """B, C, the pre-softplus z, the step size delta and A of (G, N, L, C) u.
+def _project(u, wb, wc, wd, db):
+    """B, C, the pre-softplus z and the step size delta of a (G, N, Q, C) block.
 
-    Whole-array batched matmuls over the flattened N*L rows.  The backward
-    re-projects with this same call: a projection of fewer rows may differ in
-    the last bit, so it is never done per time block.
+    Batched matmuls over the flattened N*Q rows.  A projection of fewer rows
+    may differ in the last bit, so the forward and the backward both project
+    exactly the blocks that _time_blocks cuts.
     """
-    g_, n_, l_, c_ = u.shape
-    s_ = a_log.shape[-1]
-    u2 = u.reshape(g_, n_ * l_, c_)
-    b = np.matmul(u2, wb.transpose(0, 2, 1)).reshape(g_, n_, l_, s_)
-    cc = np.matmul(u2, wc.transpose(0, 2, 1)).reshape(g_, n_, l_, s_)
-    z = np.matmul(u2, wd[:, :, None]).reshape(g_, n_, l_) + db[:, None, None]
-    return b, cc, z, _softplus(z), -np.exp(a_log)  # A: (G, C, S)
+    g_, n_, q_, c_ = u.shape
+    s_ = wb.shape[1]
+    u2 = u.reshape(g_, n_ * q_, c_)
+    b = np.matmul(u2, wb.transpose(0, 2, 1)).reshape(g_, n_, q_, s_)
+    cc = np.matmul(u2, wc.transpose(0, 2, 1)).reshape(g_, n_, q_, s_)
+    z = np.matmul(u2, wd[:, :, None]).reshape(g_, n_, q_) + db[:, None, None]
+    return b, cc, z, _softplus(z)
 
 
 def _states(ab, du_blk, b_blk, h_prev, h, tmp):
@@ -195,9 +218,7 @@ def _states(ab, du_blk, b_blk, h_prev, h, tmp):
 
     ``ab`` holds the block's decays, ``du_blk`` its delta * u as (Q, G, N, C, 1)
     and ``b_blk`` its B as (Q, G, N, 1, S); ``h_prev`` is the state carried in
-    from the block before (None at t = 0).  The one expression for the states:
-    the backward rebuilds each block with it, so they are bit-identical to the
-    forward's.
+    from the block before (None at t = 0).
     """
     np.matmul(du_blk, b_blk, out=h)  # B_bar u_t: K = 1, one product per element
     if h_prev is not None:
@@ -209,85 +230,101 @@ def _states(ab, du_blk, b_blk, h_prev, h, tmp):
     return h
 
 
-def _scan_forward(u, a_log, wb, wc, wd, db, keep):
-    """u: (G, N, L, C); params stacked over G.  Returns readout y and cache.
+def _block_states(u, a, proj, h_prev, ab_blk, h_blk, tmp):
+    """Projections, decays and states of one gathered (G, N, Q, C) block.
 
-    Projections run as batched matmuls.  The per-step state update is the only
-    sequential part; it runs block by block over time, and each block's decays
-    and states are built, swept and read out while still in cache, in two
-    block-sized buffers.  Only the last state of a block is carried into the
-    next.  With ``keep`` (a backward will run) that last state of every block
-    is also saved: the cache is those (n_blocks, G, N, C, S) boundary states
-    plus the parameters, and the backward re-projects u and rebuilds each
-    block's decays and states from the boundary state before it, with the same
-    expressions.  Without ``keep`` the cache is None.  The per-step arithmetic
-    is the same either way.
+    ``proj`` is (wb, wc, wd, db) and ``h_prev`` the state carried in (None at
+    t = 0).  The one call that builds a block: the backward rebuilds each
+    block with it, so its states are bit-identical to the forward's.  Returns
+    b, cc, z, delta in the block's (G, N, Q, ...) layout and the decays and
+    states as (Q, G, N, C, S) views of ``ab_blk`` and ``h_blk``.
     """
-    g_, n_, l_, c_ = u.shape
-    s_ = a_log.shape[-1]
-    b, cc, z, delta, a = _project(u, a_log, wb, wc, wd, db)
-    delta_l = delta.transpose(2, 0, 1)                           # (L, G, N)
-    dl = delta_l[:, :, :, None, None]                            # (L, G, N, 1, 1)
-    u_t = u.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1)
-    b_t = b.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, S)
+    b, cc, z, delta = _project(u, *proj)
+    q_ = u.shape[2]
+    delta_t = delta.transpose(2, 0, 1)                           # (Q, G, N)
+    ab = _decays(delta_t, a, ab_blk[:q_])
+    h = _states(ab, delta_t[..., None, None] * u.transpose(2, 0, 1, 3)[..., None],
+                b.transpose(2, 0, 1, 3)[:, :, :, None, :], h_prev, h_blk[:q_], tmp)
+    return b, cc, z, delta, ab, h
+
+
+def _scan_forward(rows, perms, a_log, wb, wc, wd, db, keep):
+    """Summed readouts of the directions ``perms`` over the (N, L, C) map ``rows``.
+
+    Parameters are stacked over the G directions; direction g visits the
+    positions ``perms[g]``.  The sweep streams one time block at a time: it
+    row-takes the block's steps of every direction, projects B, C and delta
+    for them, builds the decays and states in two block-sized buffers, reads
+    out, and adds each readout into the (N, L, C) output at the positions it
+    came from.  No other array spans the sequence, and only the last state of
+    a block is carried into the next.  With ``keep`` (a backward will run)
+    that last state of every block is also saved: the cache is those
+    (n_blocks, G, N, C, S) boundary states plus the orders and parameters.
+    Without ``keep`` the cache is None.  The sweep is the same either way.
+    """
+    n_, l_, c_ = rows.shape
+    g_, s_ = len(perms), a_log.shape[-1]
+    a = -np.exp(a_log)                                           # (G, C, S)
     blocks = _time_blocks(l_, g_ * n_ * c_ * s_ * 8)
-    ab_blk, h_blk = (np.empty((blocks[0][1], g_, n_, c_, s_)) for _ in range(2))
+    q = blocks[0][1]
+    ab_blk, h_blk = (np.empty((q, g_, n_, c_, s_)) for _ in range(2))
+    u_buf, y_buf = (np.empty(g_ * n_ * q * c_) for _ in range(2))
     bounds = np.empty((len(blocks) if keep else 1, g_, n_, c_, s_))  # h_{t1 - 1}
-    cc_t = cc.transpose(2, 0, 1, 3)[..., None]                   # (L, G, N, S, 1)
-    y = np.empty((g_, n_, l_, c_))
-    y_t = y.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1) view
     tmp = np.empty_like(ab_blk[0])
+    out = np.zeros((n_, l_, c_))
     h_last = None                                                # h_{t0 - 1}
     for i, (t0, t1) in enumerate(blocks):
-        ab = _decays(delta_l[t0:t1], a, ab_blk[:t1 - t0])
-        h = _states(ab, dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], h_last, h_blk[:t1 - t0], tmp)
+        u = _gather(rows, perms, t0, t1, u_buf)
+        _, cc, _, _, _, h = _block_states(u, a, (wb, wc, wd, db), h_last, ab_blk, h_blk, tmp)
         h_last = bounds[i if keep else 0]
         np.copyto(h_last, h[-1])
-        np.matmul(h, cc_t[t0:t1], out=y_t[t0:t1])                  # sum over s
-    cache = (bounds, a_log, wb, wc, wd, db) if keep else None
-    return y, cache
+        y = y_buf[:u.size].reshape(u.shape)
+        np.matmul(h, cc.transpose(2, 0, 1, 3)[..., None],
+                  out=y.transpose(2, 0, 1, 3)[..., None])         # sum over s
+        _scatter_add(out, perms, t0, t1, y)
+    cache = (bounds, perms, a_log, wb, wc, wd, db) if keep else None
+    return out, cache
 
 
-def _scan_backward(dy, u, cache):
-    """Adjoint of _scan_forward on the same u; returns du and parameter gradients."""
-    bounds, a_log, wb, wc, wd, db = cache
-    b, cc, z, delta, a = _project(u, a_log, wb, wc, wd, db)
-    g_, n_, l_, c_ = u.shape
-    s_ = b.shape[-1]
-    delta_l = delta.transpose(2, 0, 1)                           # (L, G, N)
-    dl = delta_l[:, :, :, None, None]                            # (L, G, N, 1, 1)
-    u_t = u.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, C, 1)
-    b_t = b.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, S)
-    dy_l = dy.transpose(2, 0, 1, 3)                              # (L, G, N, C)
-    cc_l = cc.transpose(2, 0, 1, 3)                              # (L, G, N, S)
-    u_r = u.transpose(2, 0, 1, 3)[:, :, :, None, :]              # (L, G, N, 1, C)
-    b_c = b.transpose(2, 0, 1, 3)[..., None]                     # (L, G, N, S, 1)
-    dy_r = dy_l[:, :, :, None, :]                                # (L, G, N, 1, C)
+def _scan_backward(dy, rows, cache):
+    """Adjoint of _scan_forward on the same rows, given the (N, L, C) output gradient.
+
+    Returns the (N, L, C) gradient of ``rows`` and the parameter gradients.
+    The sweep runs the time blocks last to first, one at a time.  For each it
+    row-takes u and dy, rebuilds the block with _block_states from the
+    boundary state saved for the block before (the forward's call, so the
+    same bits), runs the adjoint recurrence over it, adds the block's share of
+    every parameter gradient and scatters its input gradient into place.  No
+    (G, N, L, ...) array is made; the shares are summed in block order.
+    """
+    bounds, perms, a_log, wb, wc, wd, db = cache
+    n_, l_, c_ = rows.shape
+    g_, s_ = len(perms), a_log.shape[-1]
+    a = -np.exp(a_log)                                           # (G, C, S)
     a_k = a.reshape(g_, c_ * s_, 1)
-    dcc = np.empty((l_, g_, n_, 1, s_))
-    dbu_u = np.empty((l_, g_, n_, 1, s_))
-    du = np.empty((l_, g_, n_, c_, 1))
-    ddelta = np.empty((l_, g_, n_, 1))
+    blocks = _time_blocks(l_, g_ * n_ * c_ * s_ * 8)
+    q = blocks[0][1]
+    ab_blk, h_blk, gh_blk, dab_blk = (np.empty((q, g_, n_, c_, s_)) for _ in range(4))
+    u_buf, dy_buf = (np.empty(g_ * n_ * q * c_) for _ in range(2))
+    tmp = np.empty_like(ab_blk[0])
+    d_rows = np.zeros((n_, l_, c_))
     da = np.zeros((g_, c_ * s_))
+    dwb, dwc, dwd, ddb = (np.zeros_like(w) for w in (wb, wc, wd, db))
     # adjoint recurrence, run backwards one time block at a time: gradient at
     # h_t collects the readout term plus the decayed gradient from h_{t+1}.
     # A_bar = exp(delta*A): d/ddelta = A*A_bar, d/dA = delta*A_bar.  The decay
     # term A_bar[t+1] * gh[t+1] is also gh * A_bar at t+1, so the sweep keeps
-    # it in `dab`; `carry` takes it across a block boundary.  Each block's
-    # decays and states are rebuilt as the forward built them, the states from
-    # the boundary state saved for the block before, and its dA and d(delta)
-    # shares are summed while `dab` is still in cache.
-    blocks = _time_blocks(l_, g_ * n_ * c_ * s_ * 8)
-    ab_blk, h_blk, gh_blk, dab_blk = (np.empty((blocks[0][1], g_, n_, c_, s_)) for _ in range(4))
-    tmp = np.empty_like(ab_blk[0])
+    # it in `dab`; `carry` takes it across a block boundary.
     carry = None
     for i, (t0, t1) in reversed(list(enumerate(blocks))):
+        q_ = t1 - t0
         h_prev = bounds[i - 1] if i else None                    # h_{t0 - 1}
-        ab = _decays(delta_l[t0:t1], a, ab_blk[:t1 - t0])
-        h = _states(ab, dl[t0:t1] * u_t[t0:t1], b_t[t0:t1], h_prev, h_blk[:t1 - t0], tmp)
-        gh, dab = gh_blk[:t1 - t0], dab_blk[:t1 - t0]
-        np.matmul(dy_r[t0:t1], h, out=dcc[t0:t1])                # sum over c
-        np.matmul(dy_l[t0:t1, ..., None], cc_l[t0:t1, :, :, None, :], out=gh)  # K = 1
+        u = _gather(rows, perms, t0, t1, u_buf)
+        b, cc, z, delta, ab, h = _block_states(u, a, (wb, wc, wd, db), h_prev, ab_blk, h_blk, tmp)
+        dy_t = _gather(dy, perms, t0, t1, dy_buf).transpose(2, 0, 1, 3)  # (Q, G, N, C)
+        gh, dab = gh_blk[:q_], dab_blk[:q_]
+        dcc = np.matmul(dy_t[:, :, :, None, :], h)               # (Q, G, N, 1, S): sum over c
+        np.matmul(dy_t[..., None], cc.transpose(2, 0, 1, 3)[:, :, :, None, :], out=gh)  # K = 1
         if carry is not None:
             gh[-1] += carry
         for a_next, g_next, g_t, d_next in zip(ab[:0:-1], gh[:0:-1], gh[-2::-1], dab[:0:-1]):
@@ -300,33 +337,30 @@ def _scan_backward(dy, u, cache):
             carry = np.multiply(ab[0], gh[0], out=dab[0]).copy()
             np.multiply(dab[0], h_prev, out=dab[0])
         np.multiply(dab[1:], h[:-1], out=dab[1:])
-        dab_k = dab.reshape(t1 - t0, g_, n_, c_ * s_)
-        np.matmul(dab_k, a_k, out=ddelta[t0:t1])                 # sum over c, s
-        da += np.einsum("qgnk,qgn->gk", dab_k, delta_l[t0:t1])
+        dab_k = dab.reshape(q_, g_, n_, c_ * s_)
+        ddelta = np.matmul(dab_k, a_k).reshape(q_, g_, n_).transpose(1, 2, 0)  # sum over c, s
+        da += np.einsum("qgnk,gnq->gk", dab_k, delta)
         # B_bar*u = delta * B[s] * u[c]
-        np.matmul(u_r[t0:t1], gh, out=dbu_u[t0:t1])              # sum over c
-        np.matmul(gh, b_c[t0:t1], out=du[t0:t1])                 # sum over s
-    dcc = dcc.reshape(l_, g_, n_, s_).transpose(1, 2, 0, 3).reshape(g_, n_ * l_, s_)
-    dbu_u = dbu_u.reshape(l_, g_, n_, s_)
-    du = du.reshape(l_, g_, n_, c_)
-    ddelta = ddelta.reshape(l_, g_, n_).transpose(1, 2, 0)
+        dbu_u = np.matmul(u.transpose(2, 0, 1, 3)[:, :, :, None, :], gh)  # sum over c
+        du = np.matmul(gh, b.transpose(2, 0, 1, 3)[..., None])   # (Q, G, N, C, 1): sum over s
+        dbu_u = dbu_u.reshape(q_, g_, n_, s_).transpose(1, 2, 0, 3)  # (G, N, Q, S)
+        ddelta = ddelta + np.einsum("gnqs,gnqs->gnq", dbu_u, b)
+        du = du.reshape(q_, g_, n_, c_).transpose(1, 2, 0, 3) * delta[..., None]  # (G, N, Q, C)
+        # linear projections, as batched matmuls over the block's N*Q rows
+        u2 = u.reshape(g_, n_ * q_, c_)
+        dbproj = (dbu_u * delta[..., None]).reshape(g_, n_ * q_, s_)
+        dwb += np.matmul(dbproj.transpose(0, 2, 1), u2)
+        du += np.matmul(dbproj, wb).reshape(g_, n_, q_, c_)
+        dcc = dcc.reshape(q_, g_, n_, s_).transpose(1, 2, 0, 3).reshape(g_, n_ * q_, s_)
+        dwc += np.matmul(dcc.transpose(0, 2, 1), u2)
+        du += np.matmul(dcc, wc).reshape(g_, n_, q_, c_)
+        dz = ddelta * _sigmoid(z)
+        dwd += np.matmul(dz.reshape(g_, 1, n_ * q_), u2).reshape(g_, c_)
+        ddb += dz.sum(axis=(1, 2))
+        du += dz[..., None] * wd[:, None, None, :]
+        _scatter_add(d_rows, perms, t0, t1, du)
     da_log = da.reshape(g_, c_, s_) * a  # dA/dA_log = -exp(A_log) = A
-    ddelta += np.einsum("lgns,gnls->gnl", dbu_u, b)
-    dbproj = (dbu_u * delta_l[..., None]).transpose(1, 2, 0, 3)
-    dbproj = dbproj.reshape(g_, n_ * l_, s_)
-    du *= delta_l[..., None]
-    du = np.ascontiguousarray(du.transpose(1, 2, 0, 3))           # (G, N, L, C)
-    # linear projections (batched matmuls over flattened N*L, as (G, N*L, S) copies)
-    u2 = u.reshape(g_, n_ * l_, c_)
-    dwb = np.matmul(dbproj.transpose(0, 2, 1), u2)
-    du += np.matmul(dbproj, wb).reshape(g_, n_, l_, c_)
-    dwc = np.matmul(dcc.transpose(0, 2, 1), u2)
-    du += np.matmul(dcc, wc).reshape(g_, n_, l_, c_)
-    dz = ddelta * _sigmoid(z)
-    dwd = np.matmul(dz.reshape(g_, 1, n_ * l_), u2).reshape(g_, c_)
-    ddb = dz.sum(axis=(1, 2))
-    du += dz[..., None] * wd[:, None, None, :]
-    return du, da_log, dwb, dwc, dwd, ddb
+    return d_rows, da_log, dwb, dwc, dwd, ddb
 
 
 def _stack_dynamics(dirs):
@@ -358,41 +392,34 @@ def scan2d(f: Tensor, params: Scan2dParams, orders: list[ScanOrder]) -> Tensor:
         perms.append(order.forward)
         perms.append(order.forward[::-1])
 
-    invs = [np.empty_like(p) for p in perms]
-    for p, inv in zip(perms, invs):
-        inv[p] = np.arange(p.size)
+    def rows_of(m):
+        """(N, C, H, W) map -> (N, L, C) rows, one per flat position."""
+        return np.ascontiguousarray(m.reshape(n, c, h * w).transpose(0, 2, 1))
 
-    def gather(m):
-        """(N, C, H, W) map -> (G, N, L, C) sequences, one row take per direction."""
-        rows = np.ascontiguousarray(m.reshape(n, c, h * w).transpose(0, 2, 1))
-        seq = np.empty((len(perms), n, h * w, c))
-        for s, p in zip(seq, perms):
-            np.take(rows, p, axis=1, out=s, mode="clip")  # "clip": no buffered copy
-        return seq
-
-    def scatter(seq):
-        """Adjoint of gather: each direction's sequence put back in place, summed."""
-        out, rows = np.zeros((n, c, h * w)), np.empty((n, h * w, c))
-        for s, inv in zip(seq, invs):
-            out += np.take(s, inv, axis=1, out=rows, mode="clip").transpose(0, 2, 1)
-        return out.reshape(n, c, h, w)
+    def map_of(rows):
+        return rows.transpose(0, 2, 1).reshape(n, c, h, w)
 
     parents = [f]
     for d in params.directions:
         parents.extend(d.tensors())
     parents.append(params.skip)
     fd, skip = f.data, params.skip.data[None, :, None, None]
-    y, cache = _scan_forward(gather(fd), *_stack_dynamics(params.directions), T.records(parents))
+    y, cache = _scan_forward(rows_of(fd), perms, *_stack_dynamics(params.directions),
+                             T.records(parents))
 
     def rule(g):
-        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(gather(g), gather(fd), cache)
-        grads = [scatter(du) + g * skip]
+        du, da_log, dwb, dwc, dwd, ddb = _scan_backward(rows_of(g), rows_of(fd), cache)
+        dx = g * skip
+        dx += map_of(du)
+        grads = [dx]
         for g_i in range(len(perms)):
             grads.extend((da_log[g_i], dwb[g_i], dwc[g_i], dwd[g_i], ddb[g_i].reshape(())))
         grads.append(np.einsum("nchw,nchw->c", g, fd))
         return tuple(grads)
 
-    return make_node(scatter(y) + fd * skip, tuple(parents), rule, "scan2d")
+    out = fd * skip
+    out += map_of(y)
+    return make_node(out, tuple(parents), rule, "scan2d")
 
 
 # ---------------------------------------------------------------------------

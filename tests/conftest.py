@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from freqmamba import model as M
 from freqmamba import wavelet
 from freqmamba.fourier import ConvBlockWeights, ConvWeights, FourierBranchWeights
 from freqmamba.tensor import Tensor
@@ -119,3 +120,17 @@ def _identity_fourier_branch(channels):
 def identity_fourier_branch():
     """Builder of identity Fourier-branch weights, by channel count."""
     return _identity_fourier_branch
+
+
+@pytest.fixture
+def perturbed_model():
+    """`build(ModelConfig(), 1)` with every parameter moved by N(0, 0.02).
+
+    A freshly built model has a zero head, so every gradient above the head
+    is 0; moved off it, a step exercises every parameter.
+    """
+    model = M.build(M.ModelConfig(), 1)
+    rng = np.random.default_rng(0)
+    for p in model.named_params().values():
+        p.data = p.data + rng.normal(0, 0.02, p.data.shape)
+    return model

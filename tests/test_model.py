@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from freqmamba import model as M
+from freqmamba import scan as S
+from freqmamba import tensor as T
+from freqmamba import training as TR
 from freqmamba.errors import ConfigError, ConfigMismatchError, MagicError, ShapeError, TruncatedError
 from freqmamba.tensor import Tensor, no_grad
 
@@ -71,6 +74,38 @@ def test_forward_shape_preserved(size):
     with no_grad():
         y = m.forward(x)
     assert y.data.shape == x.data.shape
+
+
+def test_perturbed_step_does_not_depend_on_time_block(perturbed_model, monkeypatch):
+    # The scans stream one time block at a time in both modes, so the no-grad
+    # forward is the recorded one, bit for bit.  One-step blocks move the
+    # per-block projections, the order in which the directions' readouts add
+    # up at a position and the block-by-block gradient sums in the last bits.
+    # Through the network those moves reach a few ill-conditioned gradients,
+    # the delta_bias sums most, at up to 1.2e-11 of the array's largest entry
+    # (and 2.6e-8 of some entries close to 0), hence the tolerance.
+    rng = np.random.default_rng(7)
+    x, gt = (rng.uniform(0, 1, (2, 3, 16, 16)) for _ in range(2))
+    params = perturbed_model.named_params()
+
+    def step():
+        for p in params.values():
+            p.grad = None
+        out = perturbed_model.forward(Tensor(x))
+        T.backward(TR.loss_total(out, Tensor(gt), TR.LossWeights())[0])
+        return out.data, {k: p.grad for k, p in params.items()}
+
+    out, grads = step()
+    with no_grad():
+        assert np.array_equal(perturbed_model.forward(Tensor(x)).data, out)
+    monkeypatch.setattr(S, "_BLOCK_BYTES", 1)
+    assert S._time_blocks(4, 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    out_1, grads_1 = step()
+    np.testing.assert_allclose(out_1, out, rtol=1e-12, atol=1e-12)
+    for k, want in grads.items():
+        assert np.abs(want).max() > 0, k
+        np.testing.assert_allclose(grads_1[k], want, rtol=1e-12, atol=1e-10 * np.abs(want).max(),
+                                   err_msg=k)
 
 
 def test_forward_divisibility_error():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,21 @@ def test_eval_pairs_runs():
     pairs = TR.synth_rain(TR.RainSynthParams(), seed=6, n=2, size=(32, 32))
     psnr, ssim = TR.eval_pairs(model, pairs)
     assert np.isfinite(psnr) and 0.0 <= ssim <= 1.0
+
+
+def test_restore_memory_bound_128():
+    # The traced peak of a 128x128 restore of the default model: 57x the
+    # input's nbytes (22.6 MB), held in an inverse DFT of the Fourier branch.
+    # A scan that gathered and projected the whole sequence peaked at 76x.
+    x = np.random.default_rng(3).uniform(0, 1, (1, 3, 128, 128))
+    model = M.build(M.ModelConfig(), 1)
+    tracemalloc.start()
+    try:
+        TR.restore(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * x.nbytes, peak / x.nbytes
 
 
 # ---------------------------------------------------------------------------
