@@ -97,12 +97,22 @@ def _fourier_checks():
         return _wsum(F.idft2(F.Spectrum(T.silu(s.real), T.silu(s.imag))), 32)
 
     def amp_phase(t):
-        ap = F.to_amp_phase(F.dft2(t))
-        back = F.from_amp_phase(ap)
-        return T.add(_wsum(back.real, 33), _wsum(back.imag, 34))
+        # the phase enters only through cos and sin: smooth across the atan2
+        # cut, where the DC and Nyquist terms of a real input sit at +-0j
+        amp, pha = F.polar_dft2(t)
+        return _wsum(F.polar_idft2(T.silu(amp), pha), 33)
 
+    def polar(t):
+        amp, pha = F.polar_dft2(t)
+        return T.add(_wsum(amp, 34), _wsum(pha, 36))
+
+    # odd sides (no Nyquist terms) and a positive mean (DC off the cut): every
+    # phase is smooth where it is checked
+    x7 = Tensor(_rand((1, 2, 7, 7), 37).data + 1.0)
     yield "dft2_idft2", 1e-6, lambda: grad_check(roundtrip, x)
     yield "amp_phase_roundtrip", 1e-6, lambda: grad_check(amp_phase, x)
+    yield "polar_dft2", 1e-6, lambda: grad_check(polar, x7)
+    yield "polar_idft2", 1e-6, lambda: grad_check(lambda t: _wsum(F.polar_idft2(t, t), 38), x)
     yield "fourier_branch", 1e-5, lambda: grad_check(
         lambda t: _wsum(F.fourier_branch(t, wb), 35), x)
 

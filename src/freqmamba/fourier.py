@@ -1,10 +1,9 @@
-"""2D discrete Fourier analysis: spectra, amplitude/phase views, the
-spectrum-exchange experiment, and the Fourier modeling branch.
+"""2D discrete Fourier analysis: spectra, the amplitude/phase transform pair,
+the spectrum-exchange experiment, and the Fourier modeling branch.
 
-The forward transform is unnormalized (plain double sum over the image);
-the inverse carries the 1/(H*W) factor and returns the real part, which is
-exact for conjugate-symmetric spectra and defines the branch output for
-processed (non-symmetric) spectra.
+The forward transform is unnormalized (plain double sum over the image); the
+inverse carries the 1/(H*W) factor and returns the real part: exact for
+conjugate-symmetric spectra, the branch output for processed ones.
 """
 
 from __future__ import annotations
@@ -25,67 +24,77 @@ class Spectrum:
     real: Tensor
     imag: Tensor
 
-    @property
-    def shape(self):
-        return self.real.data.shape
-
-
-@dataclass
-class AmpPhase:
-    amplitude: Tensor
-    phase: Tensor
-
 
 def dft2(x: Tensor) -> Spectrum:
     """Unnormalized forward DFT over the two spatial axes, per channel."""
     T._check_4d(x, "dft2")
     f = np.fft.fft2(x.data, axes=(2, 3))
-    n, c, h, w = x.data.shape
-
-    def rule_real(g):
-        return (np.real(np.fft.ifft2(g, axes=(2, 3))) * (h * w),)
-
-    def rule_imag(g):
-        return (np.real(np.fft.ifft2(1j * g, axes=(2, 3))) * (h * w),)
-
-    real = make_node(f.real.copy(), (x,), rule_real, "dft2.real")
-    imag = make_node(f.imag.copy(), (x,), rule_imag, "dft2.imag")
-    return Spectrum(real, imag)
+    return Spectrum(make_node(f.real.copy(), (x,), lambda g: (_fft_adjoint(g).real,), "dft2.real"),
+                    make_node(f.imag.copy(), (x,), lambda g: (-_fft_adjoint(g).imag,), "dft2.imag"))
 
 
 def idft2(s: Spectrum) -> Tensor:
     """Inverse DFT with the 1/(H*W) factor; returns the real part."""
     if s.real.data.shape != s.imag.data.shape:
         raise ShapeError(f"spectrum real/imag shape mismatch: {s.real.data.shape} vs {s.imag.data.shape}")
-    n, c, h, w = s.real.data.shape
-    y = np.real(np.fft.ifft2(s.real.data + 1j * s.imag.data, axes=(2, 3)))
+    y = np.fft.ifft2(s.real.data + 1j * s.imag.data, axes=(2, 3)).real.copy()
 
     def rule(g):
-        gf = np.fft.fft2(g, axes=(2, 3))
-        return (gf.real / (h * w), gf.imag / (h * w))
+        gf = np.fft.fft2(g, axes=(2, 3), norm="forward")
+        return (gf.real, gf.imag)
 
     return make_node(y, (s.real, s.imag), rule, "idft2")
 
 
-def to_amp_phase(s: Spectrum) -> AmpPhase:
-    """amplitude = sqrt(R^2 + I^2), phase = atan2(I, R); atan2(0, 0) is 0."""
-    r, i = s.real, s.imag
-    amp = T.sqrt_(T.add(T.mul(r, r), T.mul(i, i)))
-    pha = T.atan2_(i, r)
-    return AmpPhase(amp, pha)
+def _fft_adjoint(g):  # the transpose of the unnormalized fft2: H*W * ifft2(g)
+    return np.fft.ifft2(g, axes=(2, 3), norm="forward")
 
 
-def from_amp_phase(ap: AmpPhase) -> Spectrum:
-    return Spectrum(T.mul(ap.amplitude, T.cos_(ap.phase)),
-                    T.mul(ap.amplitude, T.sin_(ap.phase)))
+def _over(g, d):  # g / d, and 0 where d (real) is 0
+    return np.where(d > 0, g / np.where(d > 0, d, 1.0), 0.0)
+
+
+def polar_dft2(x: Tensor) -> tuple[Tensor, Tensor]:
+    """(sqrt(R^2 + I^2), atan2(I, R)) of F = dft2(x): two nodes on one FFT.  Each rule
+    keeps only F and maps dR + i dI (g F/|F| or i g F/|F|^2, 0 at F = 0) back by one FFT."""
+    T._check_4d(x, "polar_dft2")
+    f = np.fft.fft2(x.data, axes=(2, 3))
+
+    def rule_amp(g):
+        return (_fft_adjoint(g * _over(f, np.abs(f))).real,)
+
+    def rule_phase(g):  # F/|F| times g/|F|: g/|F|^2 would overflow where |F|^2 is subnormal
+        m = np.abs(f)
+        return (-_fft_adjoint(_over(f, m) * _over(g, m)).imag,)
+
+    return (make_node(np.sqrt(f.real * f.real + f.imag * f.imag), (x,), rule_amp, "polar_dft2.amplitude"),
+            make_node(np.arctan2(f.imag, f.real), (x,), rule_phase, "polar_dft2.phase"))
+
+
+def polar_idft2(amplitude: Tensor, phase: Tensor) -> Tensor:
+    """Re idft2(amplitude * e^(i phase)), one node.  With G = fft2(g) / (H*W) and
+    E = G e^(-i phase), the rule gives Re E to the amplitude, amplitude * Im E to the phase."""
+    a, p = amplitude.data, phase.data
+    if a.shape != p.shape:
+        raise ShapeError(f"polar_idft2 amplitude/phase shape mismatch: {a.shape} vs {p.shape}")
+    z = np.empty(a.shape, np.complex128)
+    z.real = a * np.cos(p)
+    z.imag = a * np.sin(p)
+    y = np.fft.ifft2(z, axes=(2, 3)).real.copy()
+
+    def rule(g):
+        gf = np.fft.fft2(g, axes=(2, 3), norm="forward")
+        c, s = np.cos(p), np.sin(p)
+        return (gf.real * c + gf.imag * s, a * (gf.imag * c - gf.real * s))
+
+    return make_node(y, (amplitude, phase), rule, "polar_idft2")
 
 
 def export_spectrum(s: Spectrum, prefix) -> tuple[str, str]:
     """Dump a spectrum as two FTD1 files, <prefix>_real.ftd1 and _imag.ftd1."""
-    from .tensor import dump_ftd1
     real_path, imag_path = f"{prefix}_real.ftd1", f"{prefix}_imag.ftd1"
-    dump_ftd1(s.real, real_path)
-    dump_ftd1(s.imag, imag_path)
+    T.dump_ftd1(s.real, real_path)
+    T.dump_ftd1(s.imag, imag_path)
     return real_path, imag_path
 
 
@@ -93,11 +102,8 @@ def spectrum_swap(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
     """Exchange amplitude spectra: returns (amp(a) with phase(b), amp(b) with phase(a))."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"spectrum_swap shape mismatch: {a.data.shape} vs {b.data.shape}")
-    apa = to_amp_phase(dft2(a))
-    apb = to_amp_phase(dft2(b))
-    out_a = idft2(from_amp_phase(AmpPhase(apa.amplitude, apb.phase)))
-    out_b = idft2(from_amp_phase(AmpPhase(apb.amplitude, apa.phase)))
-    return out_a, out_b
+    (amp_a, pha_a), (amp_b, pha_b) = polar_dft2(a), polar_dft2(b)
+    return polar_idft2(amp_a, pha_b), polar_idft2(amp_b, pha_a)
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +119,15 @@ class ConvWeights:
 def init_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int,
               gain: float = 1.0, zero: bool = False) -> ConvWeights:
     """Variance-preserving conv init; activations stay O(1) across deep stacks."""
-    if zero:
-        w = np.zeros((c_out, c_in, k, k))
-    else:
-        w = rng.normal(0, gain / np.sqrt(c_in * k * k), (c_out, c_in, k, k))
+    shape = (c_out, c_in, k, k)
+    w = np.zeros(shape) if zero else rng.normal(0, gain / np.sqrt(c_in * k * k), shape)
     return ConvWeights(Tensor(w, requires_grad=True), Tensor(np.zeros(c_out), requires_grad=True))
 
 
 @dataclass
 class ConvBlockWeights:
-    """Residual pair of 1x1 convs: x + conv2(silu(conv1(x))).
-
-    The residual form admits an exact identity configuration (conv2 = 0),
-    which the identity-parameterization oracles rely on.
-    """
+    """Residual pair of 1x1 convs, x + conv2(silu(conv1(x))): conv2 = 0 is an
+    exact identity, which the identity-parameterization oracles rely on."""
 
     conv1: ConvWeights
     conv2: ConvWeights
@@ -147,16 +148,14 @@ class FourierBranchWeights:
 
 
 def fourier_branch(f_in: Tensor, w: FourierBranchWeights) -> Tensor:
-    """Refine amplitude and phase separately in the frequency domain.
-
-    entry conv -> DFT -> (amplitude | phase) -> 1x1 conv + conv block each
-    -> recombine -> inverse DFT.  Output keeps the input shape.
-    """
+    """Refine amplitude and phase separately in the frequency domain: entry
+    conv -> polar DFT -> 1x1 conv + conv block on each of amplitude and phase
+    -> polar inverse DFT.  Output keeps the input shape."""
     f0 = T.conv2d(f_in, w.entry.w, w.entry.b, padding=(w.entry.w.data.shape[2] - 1) // 2)
-    ap = to_amp_phase(dft2(f0))
-    amp = conv_block(T.pointwise_conv(ap.amplitude, w.amp_pw.w, w.amp_pw.b), w.amp_block)
-    pha = conv_block(T.pointwise_conv(ap.phase, w.pha_pw.w, w.pha_pw.b), w.pha_block)
-    return idft2(from_amp_phase(AmpPhase(amp, pha)))
+    amp, pha = polar_dft2(f0)
+    amp = conv_block(T.pointwise_conv(amp, w.amp_pw.w, w.amp_pw.b), w.amp_block)
+    pha = conv_block(T.pointwise_conv(pha, w.pha_pw.w, w.pha_pw.b), w.pha_block)
+    return polar_idft2(amp, pha)
 
 
 def init_fourier_branch(channels: int, rng: np.random.Generator) -> FourierBranchWeights:

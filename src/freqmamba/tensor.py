@@ -232,7 +232,7 @@ def silu(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(xd))
     sig = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     y = xd * sig
-    dydx = sig * (1.0 + xd * (1.0 - sig))
+    dydx = sig * (1.0 + xd * (1.0 - sig)) if records((x,)) else None
     return make_node(y, (x,), lambda g: (g * dydx,), "silu")
 
 

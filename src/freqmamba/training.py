@@ -39,10 +39,10 @@ def loss_total(y_out: Tensor, x_gt: Tensor, w: LossWeights):
     if y_out.data.shape != x_gt.data.shape:
         raise ShapeError(f"loss shapes differ: {y_out.data.shape} vs {x_gt.data.shape}")
     l_spa = T.mean_all(T.abs_(T.sub(y_out, x_gt)))
-    ap_y = F.to_amp_phase(F.dft2(y_out))
-    ap_x = F.to_amp_phase(F.dft2(x_gt))
-    l_amp = T.mean_all(T.abs_(T.sub(ap_y.amplitude, ap_x.amplitude)))
-    l_pha = T.mean_all(T.abs_(T.sub(ap_y.phase, ap_x.phase)))
+    amp_y, pha_y = F.polar_dft2(y_out)
+    amp_x, pha_x = F.polar_dft2(x_gt)
+    l_amp = T.mean_all(T.abs_(T.sub(amp_y, amp_x)))
+    l_pha = T.mean_all(T.abs_(T.sub(pha_y, pha_x)))
     total = T.add(l_spa, T.add(T.scale(l_amp, w.alpha), T.scale(l_pha, w.beta)))
     return total, {"spa": l_spa, "amp": l_amp, "pha": l_pha}
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from freqmamba import fourier as F
 from freqmamba import tensor as T
 from freqmamba.errors import ShapeError
-from freqmamba.tensor import Tensor, grad_check
+from freqmamba.tensor import Tensor, backward, grad_check
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -58,41 +60,87 @@ def test_conjugate_symmetry():
 
 def test_parseval():
     x = rand((1, 3, 8, 8), seed=3)
-    ap = F.to_amp_phase(F.dft2(x))
+    amp, _ = F.polar_dft2(x)
     lhs = np.sum(x.data ** 2)
-    rhs = np.sum(ap.amplitude.data ** 2) / 64
+    rhs = np.sum(amp.data ** 2) / 64
     assert abs(lhs - rhs) / abs(lhs) < 1e-6
 
 
 def test_amp_phase_hand_values():
-    s = F.Spectrum(Tensor(np.full((1, 1, 1, 1), 3.0)), Tensor(np.full((1, 1, 1, 1), 4.0)))
-    ap = F.to_amp_phase(s)
-    np.testing.assert_allclose(ap.amplitude.data, 5.0)
-    np.testing.assert_allclose(ap.phase.data, 0.9272952180016122, atol=1e-9)
-    s2 = F.Spectrum(Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.ones((1, 1, 1, 1))))
-    ap2 = F.to_amp_phase(s2)
-    np.testing.assert_allclose(ap2.amplitude.data, 1.0)
-    np.testing.assert_allclose(ap2.phase.data, np.pi / 2)
+    # the 1x4 map [3, 0, 0, 4] has the spectrum [7, 3+4i, -1, 3-4i]
+    amp, pha = F.polar_dft2(Tensor(np.array([[[[3.0, 0.0, 0.0, 4.0]]]])))
+    np.testing.assert_allclose(amp.data[0, 0, 0], [7.0, 5.0, 1.0, 5.0], atol=1e-12)
+    np.testing.assert_allclose(pha.data[0, 0, 0, 1], 0.9272952180016122, atol=1e-9)
+    # [0, 1, 0, 0] has the spectrum [1, -i, -1, i]
+    amp2, pha2 = F.polar_dft2(Tensor(np.array([[[[0.0, 1.0, 0.0, 0.0]]]])))
+    np.testing.assert_allclose(amp2.data, 1.0)
+    np.testing.assert_allclose(pha2.data[0, 0, 0, [0, 1, 3]], [0.0, -np.pi / 2, np.pi / 2])
 
 
 def test_atan2_origin_is_zero():
-    s = F.Spectrum(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 2))))
-    np.testing.assert_array_equal(F.to_amp_phase(s).phase.data, 0.0)
+    # a zero map: amplitude 0, atan2(0, 0) = 0, and both polar rules give
+    # finite zero gradients where |F| = 0
+    x = Tensor(np.zeros((1, 2, 4, 4)), requires_grad=True)
+    amp, pha = F.polar_dft2(x)
+    np.testing.assert_array_equal(amp.data, 0.0)
+    np.testing.assert_array_equal(pha.data, 0.0)
+    proj = Tensor(np.random.default_rng(22).normal(size=x.shape))
+    backward(T.add(T.sum_all(T.mul(amp, proj)), T.sum_all(T.mul(pha, proj))))
+    np.testing.assert_array_equal(x.grad, 0.0)
+    a, p = Tensor(np.zeros((1, 2, 4, 4)), requires_grad=True), rand((1, 2, 4, 4), seed=23)
+    p.requires_grad = True
+    backward(T.sum_all(T.mul(F.polar_idft2(a, p), proj)))
+    assert np.isfinite(a.grad).all()
+    np.testing.assert_array_equal(p.grad, 0.0)
+
+
+def test_polar_dft2_gradients_finite_for_tiny_spectra():
+    # |F| ~ 1e-160: |F|^2 is subnormal, and g / |F|^2 would overflow
+    x = Tensor(rand((1, 1, 4, 4), seed=27).data * 1e-160, requires_grad=True)
+    amp, pha = F.polar_dft2(x)
+    backward(T.add(T.sum_all(amp), T.sum_all(pha)))
+    assert np.isfinite(x.grad).all() and np.abs(x.grad).max() > 0
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_amp_phase_roundtrip_property(seed):
-    rng = np.random.default_rng(seed)
-    s = F.Spectrum(Tensor(rng.normal(size=(1, 1, 4, 4))), Tensor(rng.normal(size=(1, 1, 4, 4))))
-    back = F.from_amp_phase(F.to_amp_phase(s))
-    np.testing.assert_allclose(back.real.data, s.real.data, atol=1e-9)
-    np.testing.assert_allclose(back.imag.data, s.imag.data, atol=1e-9)
+    x = np.random.default_rng(seed).normal(size=(1, 2, 4, 6))
+    back = F.polar_idft2(*F.polar_dft2(Tensor(x)))
+    np.testing.assert_allclose(back.data, x, atol=1e-9)
 
 
 def test_amplitude_nonnegative():
-    s = F.dft2(rand((1, 2, 6, 6), seed=4))
-    assert (F.to_amp_phase(s).amplitude.data >= 0).all()
+    amp, _ = F.polar_dft2(rand((1, 2, 6, 6), seed=4))
+    assert (amp.data >= 0).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_polar_dft2_matches_composite(seed):
+    # the amplitude and phase as dft2 then sqrt(R*R + I*I) and atan2(I, R) nodes
+    x = rand((2, 3, 8, 6), seed=seed)
+    s = F.dft2(x)
+    amp, pha = F.polar_dft2(x)
+    np.testing.assert_array_equal(amp.data, T.sqrt_(T.add(T.mul(s.real, s.real), T.mul(s.imag, s.imag))).data)
+    np.testing.assert_array_equal(pha.data, T.atan2_(s.imag, s.real).data)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_polar_idft2_matches_composite(hermitian):
+    # random amplitude and phase maps are not the spectrum of a real map
+    if hermitian:
+        a, p = F.polar_dft2(rand((2, 3, 8, 6), seed=24))
+    else:
+        a, p = Tensor(np.abs(rand((2, 3, 8, 6), seed=25).data)), rand((2, 3, 8, 6), seed=26, scale=3.0)
+    y = F.polar_idft2(a, p)
+    want = F.idft2(F.Spectrum(T.mul(a, T.cos_(p)), T.mul(a, T.sin_(p))))
+    np.testing.assert_array_equal(y.data, want.data)
+    assert y.data.base is None  # owned: no view that pins the complex inverse
+
+
+def test_polar_idft2_shape_mismatch():
+    with pytest.raises(ShapeError):
+        F.polar_idft2(rand((1, 1, 4, 4)), rand((1, 1, 4, 6)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +164,9 @@ def test_spectrum_swap_involution():
 
 def test_spectrum_swap_outputs_real():
     x, y = rand((1, 1, 8, 8), seed=8), rand((1, 1, 8, 8), seed=9)
-    apx = F.to_amp_phase(F.dft2(x))
-    apy = F.to_amp_phase(F.dft2(y))
-    mixed = F.from_amp_phase(F.AmpPhase(apx.amplitude, apy.phase))
-    z = np.fft.ifft2(mixed.real.data + 1j * mixed.imag.data, axes=(2, 3))
+    amp_x, _ = F.polar_dft2(x)
+    _, pha_y = F.polar_dft2(y)
+    z = np.fft.ifft2(amp_x.data * np.exp(1j * pha_y.data), axes=(2, 3))
     assert np.abs(z.imag).max() < 1e-9
 
 
@@ -165,6 +212,22 @@ def test_fourier_branch_identity_parameterization(identity_fourier_branch):
     np.testing.assert_allclose(out.data, x.data, atol=1e-9)
 
 
+def test_fourier_branch_graph_memory():
+    # The arrays a recorded branch keeps for its backward at (4, 8, 64, 64):
+    # 19.2x the input's nbytes with the polar transform pair, 32.2x when the
+    # amplitude and phase were built from dft2, mul, add, sqrt, atan2, cos,
+    # sin and idft2 nodes.
+    w = F.init_fourier_branch(8, np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(4, 8, 64, 64)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = F.fourier_branch(x, w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and held < 26 * x.data.nbytes, held / x.data.nbytes
+
+
 def test_fourier_branch_zero_input():
     w = F.init_fourier_branch(2, np.random.default_rng(11))
     out = F.fourier_branch(Tensor(np.zeros((1, 2, 4, 4))), w)
@@ -206,9 +269,8 @@ def test_amp_phase_grad_check():
     proj2 = np.random.default_rng(21).normal(size=(1, 1, 4, 4))
 
     def f(t):
-        ap = F.to_amp_phase(F.dft2(t))
-        return T.add(T.sum_all(T.mul(ap.amplitude, Tensor(proj1))),
-                     T.sum_all(T.mul(ap.phase, Tensor(proj2))))
+        amp, pha = F.polar_dft2(t)
+        return T.add(T.sum_all(T.mul(amp, Tensor(proj1))), T.sum_all(T.mul(pha, Tensor(proj2))))
 
     assert grad_check(f, x) < 1e-6
 
