@@ -22,9 +22,9 @@ from .scan import MambaPipeWeights, Scan2dParams
 from .tensor import Tensor
 
 
-def wpt_level_for(h: int, w: int, k_max: int = 2) -> int:
-    """Deepest packet level (<= k_max) the resolution supports."""
-    k = k_max
+def wpt_level_for(h: int, w: int) -> int:
+    """Deepest packet level (<= 2) the resolution supports."""
+    k = 2
     while k > 1 and (h % (2 ** k) or w % (2 ** k)):
         k -= 1
     if h % (2 ** k) or w % (2 ** k):
@@ -68,7 +68,7 @@ def spatial_branch(f_ln: Tensor, gate: Tensor, w: FreqSsmBlockWeights) -> Tensor
     if isinstance(w.spatial_mamba, MambaPipeWeights):
         x = S.spatial_mamba(x, w.spatial_mamba)
     else:
-        x = T.conv2d(x, w.spatial_mamba.w, w.spatial_mamba.b, padding=1)
+        x = T.conv2d(x, w.spatial_mamba.w, w.spatial_mamba.b)
     return T.mul(x, gate)
 
 
@@ -82,24 +82,15 @@ def band_branch(f_ln: Tensor, gate: Tensor, w: FreqSsmBlockWeights) -> Tensor:
     return T.mul(W.iwpt(mosaic, k), gate)
 
 
-def freqssm_block(f_in: Tensor, w: FreqSsmBlockWeights, debug_dir=None, tag: str = "block") -> Tensor:
-    """Fuse the three branches; ``debug_dir`` dumps each branch output as FTD1."""
+def freqssm_block(f_in: Tensor, w: FreqSsmBlockWeights) -> Tensor:
+    """Fuse the three branches with a 1x1 conv."""
     f_ln = T.layer_norm(f_in, w.norm_gamma, w.norm_beta)
     gate = T.silu(f_ln)
     parts = [T.add(f_in, spatial_branch(f_ln, gate, w))]
-    names = ["spatial"]
     if w.band is not None:
         parts.append(band_branch(f_ln, gate, w))
-        names.append("band")
     if w.fourier is not None:
         parts.append(fourier_branch(f_in, w.fourier))
-        names.append("fourier")
-    if debug_dir is not None:
-        from pathlib import Path
-        root = Path(debug_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        for name, part in zip(names, parts):
-            T.dump_ftd1(part, root / f"{tag}.{name}.ftd1")
     fused = parts[0] if len(parts) == 1 else T.concat_channels(parts)
     return T.pointwise_conv(fused, w.fuse.w, w.fuse.b)
 
@@ -114,9 +105,8 @@ class AttentionMapGen:
     scan: Scan2dParams
 
 
-def init_attention_gen(channels: int, state_dim: int, rng: np.random.Generator,
-                       in_channels: int = 3) -> AttentionMapGen:
-    entry = init_conv(rng, channels, in_channels, 1)
+def init_attention_gen(channels: int, state_dim: int, rng: np.random.Generator) -> AttentionMapGen:
+    entry = init_conv(rng, channels, 3, 1)
     scan = S.init_scan2d_params(channels, state_dim, 4, rng)
     # start as a no-op prior (M ~ 0): zero skip, damped readout; the map is
     # applied multiplicatively per block, so an O(1) map at init would
@@ -138,11 +128,3 @@ def apply_attention(f: Tensor, m: Tensor) -> Tensor:
     if f.data.shape != m.data.shape:
         raise ShapeError(f"attention map shape {m.data.shape} does not match features {f.data.shape}")
     return T.add(T.mul(f, m), f)
-
-
-def degradation_attention(i_scale: Tensor, f: Tensor, g: AttentionMapGen) -> Tensor:
-    """F * M + F where M is scanned from the degraded image at this scale."""
-    if i_scale.data.shape[2:] != f.data.shape[2:]:
-        raise ShapeError(f"image resolution {i_scale.data.shape[2:]} does not match "
-                         f"features {f.data.shape[2:]}")
-    return apply_attention(f, attention_map(i_scale, g))

@@ -66,11 +66,11 @@ def _core_checks():
     yield "slice_channels", 1e-6, lambda: grad_check(
         lambda t: _wsum(T.slice_channels(t, 1, 3), 13), x)
     yield "conv2d.input", 1e-6, lambda: grad_check(
-        lambda t: _wsum(T.conv2d(t, k3, bias, padding=1), 14), x)
+        lambda t: _wsum(T.conv2d(t, k3, bias), 14), x)
     yield "conv2d.kernel", 1e-6, lambda: grad_check(
-        lambda t: _wsum(T.conv2d(x, t, bias, padding=1), 15), k3)
-    yield "conv2d.grouped_strided", 1e-6, lambda: grad_check(
-        lambda t: _wsum(T.conv2d(t, kg, bias, stride=2, padding=1, groups=4), 16), x)
+        lambda t: _wsum(T.conv2d(x, t, bias), 15), k3)
+    yield "conv2d.depthwise", 1e-6, lambda: grad_check(
+        lambda t: _wsum(T.conv2d(t, kg, bias), 16), x)
     yield "pointwise_conv", 1e-6, lambda: grad_check(
         lambda t: _wsum(T.pointwise_conv(x, t, bias), 17), pw)
     yield "silu", 1e-6, lambda: grad_check(lambda t: _wsum(T.silu(t), 18), x)
@@ -181,7 +181,7 @@ def _block_checks():
     yield "freqssm_block", 1e-4, lambda: grad_check(
         lambda t: _wsum(B.freqssm_block(t, w), 76), x)
     yield "degradation_attention", 1e-5, lambda: grad_check(
-        lambda t: _wsum(B.degradation_attention(img, t, g), 77), x)
+        lambda t: _wsum(B.apply_attention(t, B.attention_map(img, g)), 77), x)
 
 
 def _loss_checks():

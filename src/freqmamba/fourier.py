@@ -151,7 +151,7 @@ def fourier_branch(f_in: Tensor, w: FourierBranchWeights) -> Tensor:
     """Refine amplitude and phase separately in the frequency domain: entry
     conv -> polar DFT -> 1x1 conv + conv block on each of amplitude and phase
     -> polar inverse DFT.  Output keeps the input shape."""
-    f0 = T.conv2d(f_in, w.entry.w, w.entry.b, padding=(w.entry.w.data.shape[2] - 1) // 2)
+    f0 = T.conv2d(f_in, w.entry.w, w.entry.b)
     amp, pha = polar_dft2(f0)
     amp = conv_block(T.pointwise_conv(amp, w.amp_pw.w, w.amp_pw.b), w.amp_block)
     pha = conv_block(T.pointwise_conv(pha, w.pha_pw.w, w.pha_pw.b), w.pha_block)

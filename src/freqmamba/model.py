@@ -165,8 +165,8 @@ class Model:
     def param_count(self) -> int:
         return sum(p.data.size for p in self.named_params().values())
 
-    def forward(self, rainy: Tensor, debug_dir=None) -> Tensor:
-        return forward(self, rainy, debug_dir=debug_dir)
+    def forward(self, rainy: Tensor) -> Tensor:
+        return forward(self, rainy)
 
 
 def _collect(prefix: str, obj, out: dict[str, Tensor]) -> None:
@@ -215,11 +215,8 @@ def build(config: ModelConfig, seed: int) -> Model:
                  head=conv(3, ch[0], 3, zero=True))
 
 
-def forward(model: Model, rainy: Tensor, debug_dir=None) -> Tensor:
-    """Restore a rainy image; output = network(rainy) + rainy.
-
-    ``debug_dir`` dumps every block's per-branch features as FTD1 files.
-    """
+def forward(model: Model, rainy: Tensor) -> Tensor:
+    """Restore a rainy image; output = network(rainy) + rainy."""
     T._check_4d(rainy, "model forward")
     n, c, h, w = rainy.data.shape
     if c != 3:
@@ -234,27 +231,27 @@ def forward(model: Model, rainy: Tensor, debug_dir=None) -> Tensor:
     if model.attn:
         maps = [B.attention_map(images[i], model.attn[i]) for i in range(3)]
 
-    x = T.conv2d(rainy, model.stem.w, model.stem.b, padding=1)
+    x = T.conv2d(rainy, model.stem.w, model.stem.b)
     skips = []
     for i, stage in enumerate(model.enc_stages):
-        for j, blk in enumerate(stage):
-            x = B.freqssm_block(x, blk, debug_dir=debug_dir, tag=f"enc{i}.block{j}")
+        for blk in stage:
+            x = B.freqssm_block(x, blk)
             if maps is not None:
                 x = B.apply_attention(x, maps[i])
         skips.append(x)
         x = T.pointwise_conv(T.down2(x), model.downs[i].w, model.downs[i].b)
 
-    for j, blk in enumerate(model.bottleneck):
-        x = B.freqssm_block(x, blk, debug_dir=debug_dir, tag=f"mid.block{j}")
+    for blk in model.bottleneck:
+        x = B.freqssm_block(x, blk)
 
     for i in (2, 1, 0):
         x = T.up2(x)
         x = T.concat_channels([x, skips[i]])
         x = T.pointwise_conv(x, model.reduces[i].w, model.reduces[i].b)
-        for j, blk in enumerate(model.dec_stages[i]):
-            x = B.freqssm_block(x, blk, debug_dir=debug_dir, tag=f"dec{i}.block{j}")
+        for blk in model.dec_stages[i]:
+            x = B.freqssm_block(x, blk)
 
-    out = T.conv2d(x, model.head.w, model.head.b, padding=1)
+    out = T.conv2d(x, model.head.w, model.head.b)
     return T.add(out, rainy)
 
 

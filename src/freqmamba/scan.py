@@ -34,11 +34,6 @@ from . import wavelet
 from .fourier import ConvWeights
 
 
-def _sigmoid(z):
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _softplus(z):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
@@ -55,10 +50,7 @@ class ScanOrder:
     """
 
     name: str
-    forward: np.ndarray
-
-    def __post_init__(self):
-        self.forward = np.asarray(self.forward, dtype=np.int64)
+    forward: np.ndarray  # int64
 
 
 RASTER_VARIANTS = ("row_fwd", "row_rev", "col_fwd", "col_rev")
@@ -112,10 +104,6 @@ class SsmDynamics:
     proj_C: Tensor     # (S, C)
     proj_delta: Tensor  # (C,)
     delta_bias: Tensor  # scalar
-
-    @property
-    def state_dim(self) -> int:
-        return self.A_log.data.shape[1]
 
     def tensors(self):
         return (self.A_log, self.proj_B, self.proj_C, self.proj_delta, self.delta_bias)
@@ -354,7 +342,7 @@ def _scan_backward(dy, rows, cache):
         dcc = dcc.reshape(q_, g_, n_, s_).transpose(1, 2, 0, 3).reshape(g_, n_ * q_, s_)
         dwc += np.matmul(dcc.transpose(0, 2, 1), u2)
         du += np.matmul(dcc, wc).reshape(g_, n_, q_, c_)
-        dz = ddelta * _sigmoid(z)
+        dz = ddelta * T.sigmoid(z)
         dwd += np.matmul(dz.reshape(g_, 1, n_ * q_), u2).reshape(g_, c_)
         ddb += dz.sum(axis=(1, 2))
         du += dz[..., None] * wd[:, None, None, :]
@@ -451,8 +439,7 @@ def spatial_orders(h: int, w: int) -> list[ScanOrder]:
 
 
 def _mamba_pipe(f: Tensor, w: MambaPipeWeights, orders: list[ScanOrder]) -> Tensor:
-    c = f.data.shape[1]
-    x = T.conv2d(f, w.dw.w, w.dw.b, padding=1, groups=c)
+    x = T.conv2d(f, w.dw.w, w.dw.b)
     x = T.silu(x)
     x = scan2d(x, w.scan, orders)
     return T.layer_norm(x, w.ln_gamma, w.ln_beta)

@@ -227,10 +227,19 @@ def mean_all(x: Tensor) -> Tensor:
     return make_node(x.data.mean(), (x,), lambda g: (np.broadcast_to(g / n, shape),), "mean")
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) of an array, with no overflow: e^-|z| over 1 + e^-|z|
+    for z < 0, one over it for z >= 0."""
+    e = np.abs(z, out=np.empty_like(z))  # e^-|z|, built in this one buffer
+    np.exp(np.negative(e, out=e), out=e)
+    sig = np.where(z >= 0, 1.0, e)
+    sig /= np.add(e, 1.0, out=e)
+    return sig
+
+
 def silu(x: Tensor) -> Tensor:
     xd = x.data
-    e = np.exp(-np.abs(xd))
-    sig = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    sig = sigmoid(xd)
     y = xd * sig
     dydx = sig * (1.0 + xd * (1.0 - sig)) if records((x,)) else None
     return make_node(y, (x,), lambda g: (g * dydx,), "silu")
@@ -318,50 +327,47 @@ def up2(x: Tensor) -> Tensor:
 # convolutions and normalization
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
-           groups: int = 1) -> Tensor:
-    """Cross-correlation with zero padding (no kernel flip).
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Stride-1 "same" cross-correlation with zero padding (no kernel flip).
 
-    kernel is [C_out, C_in/groups, k, k]; output spatial dims are
-    (H + 2*padding - k) // stride + 1.
+    kernel is [C_out, C_in/groups, k, k] with k odd: the padding is (k - 1) / 2,
+    so the output keeps H and W, and groups = C_in / kernel.shape[1].
     """
     _check_4d(x, "conv2d input")
     _check_4d(kernel, "conv2d kernel")
     n, c_in, h, w = x.data.shape
-    c_out, c_k, kh, kw = kernel.data.shape
-    if kh != kw:
-        raise ShapeError(f"conv2d expects square kernels, got {kh}x{kw}")
-    if c_in % groups or c_out % groups:
-        raise ShapeError(f"channels (C_in={c_in}, C_out={c_out}) not divisible by groups={groups}")
-    if c_k != c_in // groups:
-        raise ShapeError(f"kernel input-channel dim {c_k} != C_in/groups = {c_in // groups}")
+    c_out, cg, kh, kw = kernel.data.shape
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d expects a square kernel of odd size, got {kh}x{kw}")
+    if cg < 1 or c_in % cg:
+        raise ShapeError(f"kernel input-channel dim {cg} does not divide C_in={c_in}")
+    groups = c_in // cg
+    if c_out % groups:
+        raise ShapeError(f"C_out={c_out} does not split into groups={groups}")
     if bias.data.shape != (c_out,):
         raise ShapeError(f"bias must have shape ({c_out},), got {bias.data.shape}")
+    if h < 1 or w < 1:
+        raise ShapeError(f"conv2d expects a non-empty input, got {h}x{w}")
     k = kh
-    if h + 2 * padding < k or w + 2 * padding < k:
-        raise ShapeError(f"kernel {k} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (w + 2 * padding - k) // stride + 1
+    padding = (k - 1) // 2
 
-    cg = c_in // groups
     og = c_out // groups
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     hp, wp = xp.shape[2:]
     xf = xp.reshape(n, groups, cg, hp * wp)
     kd = kernel.data.reshape(groups, og, cg, k, k)
-    # Tap (i, j) of output pixel (r, q) is flat padded pixel i*wp + j + stride*(r*wp + q): one GEMM per
-    # tap on a strided view over an (ho, wp) grid, whose columns q >= wo are dropped; no im2col buffer.
-    m = (ho - 1) * wp + wo
-    taps = [(i, j, np.s_[..., i * wp + j:i * wp + j + stride * (m - 1) + 1:stride])
-            for i in range(k) for j in range(k)]
-    grid, prod = np.zeros((n, groups, og, ho * wp)), np.empty((n, groups, og, m))
+    # Tap (i, j) of output pixel (r, q) is flat padded pixel i*wp + j + r*wp + q: one GEMM per tap on
+    # a slice over an (h, wp) grid, whose columns q >= w are dropped; no im2col buffer.
+    m = (h - 1) * wp + w
+    taps = [(i, j, np.s_[..., i * wp + j:i * wp + j + m]) for i in range(k) for j in range(k)]
+    grid, prod = np.zeros((n, groups, og, h * wp)), np.empty((n, groups, og, m))
     for i, j, win in taps:
         grid[..., :m] += np.matmul(kd[..., i, j], xf[win], out=prod)
-    y = grid.reshape(n, c_out, ho, wp)[..., :wo] + bias.data[None, :, None, None]
+    y = grid.reshape(n, c_out, h, wp)[..., :w] + bias.data[None, :, None, None]
 
     def rule(g):
-        gp = np.pad(g.reshape(n, groups, og, ho, wo), [(0, 0)] * 4 + [(0, wp - wo)])
-        gm = gp.reshape(n, groups, og, ho * wp)[..., :m]  # zero off the valid columns
+        gp = np.pad(g.reshape(n, groups, og, h, w), [(0, 0)] * 4 + [(0, wp - w)])
+        gm = gp.reshape(n, groups, og, h * wp)[..., :m]  # zero off the valid columns
         dk = np.empty((groups, og, cg, k, k))
         dxf = np.zeros(xf.shape)
         for i, j, win in taps:
@@ -398,17 +404,15 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return make_node(y, (x, weight, bias), rule, "pointwise_conv")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the channel axis per spatial location, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the channel axis per spatial location (eps = 1e-5), then affine."""
     _check_4d(x, "layer_norm")
-    if eps <= 0:
-        raise ValueError(f"layer_norm requires eps > 0, got {eps}")
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},), got {gamma.data.shape}/{beta.data.shape}")
     mu = x.data.mean(axis=1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv
     y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 

@@ -72,7 +72,9 @@ def psnr_y(a: Tensor, b: Tensor) -> float:
     return float(10.0 * np.log10(1.0 / mse))
 
 
-def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def gaussian_window() -> np.ndarray:
+    """The 11x11 SSIM window, a Gaussian of sigma 1.5 normalized to sum 1."""
+    size, sigma = 11, 1.5
     half = (size - 1) / 2.0
     g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma * sigma))
     k = np.outer(g, g)
@@ -86,14 +88,14 @@ def _filter_valid(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return sum(g[i] * rows[:, i:i + ho] for i in range(g.size))
 
 
-def ssim_y(a: Tensor, b: Tensor, size: int = 11, sigma: float = 1.5,
-           k1: float = 0.01, k2: float = 0.03) -> float:
-    """Mean local SSIM over valid Gaussian windows on the Y channel."""
+def ssim_y(a: Tensor, b: Tensor) -> float:
+    """Mean local SSIM over valid Gaussian windows on the Y channel, with
+    K1 = 0.01, K2 = 0.03 and a data range of 1."""
     ya, yb = _luma(a), _luma(b)
-    if ya.shape[1] < size or ya.shape[2] < size:
-        raise ShapeError(f"image {ya.shape[1:]} smaller than the {size}x{size} SSIM window")
-    g = gaussian_window(size, sigma).sum(axis=0)  # the window's separable 1-D factor
-    c1, c2 = (k1 * 1.0) ** 2, (k2 * 1.0) ** 2
+    g = gaussian_window().sum(axis=0)  # the window's separable 1-D factor
+    if ya.shape[1] < g.size or ya.shape[2] < g.size:
+        raise ShapeError(f"image {ya.shape[1:]} smaller than the {g.size}x{g.size} SSIM window")
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
     mu_a, mu_b = _filter_valid(ya, g), _filter_valid(yb, g)
     aa = _filter_valid(ya * ya, g) - mu_a ** 2
     bb = _filter_valid(yb * yb, g) - mu_b ** 2
@@ -114,8 +116,9 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
+    """One Adam update (beta1 0.9, beta2 0.999, eps 1e-8) of every parameter with a gradient."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t

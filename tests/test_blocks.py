@@ -171,7 +171,7 @@ def test_degradation_attention_zero_prior_is_identity():
     g.entry.b.data[:] = 0.0
     f = rand((1, 4, 8, 8), seed=31)
     img = Tensor(np.zeros((1, 3, 8, 8)))
-    out = B.degradation_attention(img, f, g)
+    out = B.apply_attention(f, B.attention_map(img, g))
     np.testing.assert_allclose(out.data, f.data, atol=1e-12)
 
 
@@ -183,8 +183,9 @@ def test_degradation_attention_unit_map_doubles():
 
 def test_degradation_attention_resolution_mismatch():
     g = B.init_attention_gen(4, 3, np.random.default_rng(33))
-    with pytest.raises(ShapeError, match="resolution"):
-        B.degradation_attention(Tensor(np.zeros((1, 3, 4, 4))), rand((1, 4, 8, 8)), g)
+    m = B.attention_map(Tensor(np.zeros((1, 3, 4, 4))), g)
+    with pytest.raises(ShapeError, match="does not match"):
+        B.apply_attention(rand((1, 4, 8, 8)), m)
 
 
 def test_degradation_attention_grad_check():
@@ -192,19 +193,5 @@ def test_degradation_attention_grad_check():
     f = rand((1, 2, 4, 4), seed=35)
     img = rand((1, 3, 4, 4), seed=36, scale=0.5)
     proj = np.random.default_rng(37).normal(size=(1, 2, 4, 4))
-    assert grad_check(lambda t: weighted(B.degradation_attention(img, t, g), proj), f) < 1e-5
-    assert grad_check(lambda t: weighted(B.degradation_attention(t, f, g), proj), img) < 1e-5
-
-
-def test_freqssm_block_debug_dumps(tmp_path):
-    from freqmamba.tensor import load_ftd1
-
-    w = make_block(seed=40)
-    x = rand((1, 2, 8, 8), seed=41)
-    out = B.freqssm_block(x, w, debug_dir=tmp_path, tag="probe")
-    for name in ("spatial", "band", "fourier"):
-        dump = load_ftd1(tmp_path / f"probe.{name}.ftd1")
-        assert dump.data.shape == (1, 2, 8, 8)
-    # dumping must not perturb the computation
-    again = B.freqssm_block(x, w)
-    np.testing.assert_array_equal(out.data, again.data)
+    assert grad_check(lambda t: weighted(B.apply_attention(t, B.attention_map(img, g)), proj), f) < 1e-5
+    assert grad_check(lambda t: weighted(B.apply_attention(f, B.attention_map(t, g)), proj), img) < 1e-5

@@ -1,6 +1,7 @@
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,12 +37,14 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_hand_summation():
-    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    k = Tensor(np.ones((1, 1, 2, 2)))
+    # a 3x3 box sum with one pixel of zero padding
+    x = Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
+    k = Tensor(np.ones((1, 1, 3, 3)))
     b = Tensor(np.zeros(1))
-    y = T.conv2d(x, k, b, stride=1, padding=0)
-    assert y.data.shape == (1, 1, 1, 1)
-    assert y.data[0, 0, 0, 0] == 10.0
+    y = T.conv2d(x, k, b)
+    np.testing.assert_array_equal(y.data[0, 0], [[12.0, 21.0, 16.0],
+                                                 [27.0, 45.0, 33.0],
+                                                 [24.0, 39.0, 28.0]])
 
 
 def test_conv2d_depthwise_constant_stencil():
@@ -49,44 +52,40 @@ def test_conv2d_depthwise_constant_stencil():
     x = Tensor(np.full((1, c, 5, 5), 2.0))
     k = Tensor(np.ones((c, 1, 3, 3)))
     b = Tensor(np.zeros(c))
-    y = T.conv2d(x, k, b, padding=1, groups=c)
+    y = T.conv2d(x, k, b)
     # interior positions see the full 3x3 stencil of value 2
     np.testing.assert_allclose(y.data[:, :, 1:-1, 1:-1], 9 * 2.0)
 
 
 def test_conv2d_shape_errors():
     x = Tensor(np.zeros((1, 4, 8, 8)))
-    with pytest.raises(ShapeError, match="groups"):
-        T.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(4)), groups=3)
-    with pytest.raises(ShapeError, match="C_in/groups"):
+    for bad in ((4, 4, 2, 2), (4, 4, 3, 5)):
+        with pytest.raises(ShapeError, match="square kernel of odd size"):
+            T.conv2d(x, Tensor(np.zeros(bad)), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError, match="does not divide C_in"):
         T.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError, match="groups=2"):
+        T.conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), Tensor(np.zeros(3)))
     with pytest.raises(ShapeError, match="bias"):
         T.conv2d(x, Tensor(np.zeros((4, 4, 3, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError, match="non-empty"):
+        T.conv2d(Tensor(np.zeros((1, 4, 0, 8))), Tensor(np.zeros((4, 4, 3, 3))), Tensor(np.zeros(4)))
 
 
-def test_conv2d_stride_output_dims():
-    x = rand((2, 3, 9, 9), seed=1)
-    k = rand((5, 3, 3, 3), seed=2)
-    y = T.conv2d(x, k, Tensor(np.zeros(5)), stride=2, padding=1)
-    assert y.data.shape == (2, 5, 5, 5)
-
-
-def conv2d_loops(x, k, b, g, stride, padding, groups):
+def conv2d_loops(x, k, b, g):
     """Plain nested sums: y = conv2d(x, k, b), and dx, dk, db of sum(g * y)."""
     n, c_in, h, w = x.shape
     c_out, cg, kk, _ = k.shape
-    og = c_out // groups
+    og = c_out // (c_in // cg)
+    padding = (kk - 1) // 2
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    ho = (h + 2 * padding - kk) // stride + 1
-    wo = (w + 2 * padding - kk) // stride + 1
-    y = np.empty((n, c_out, ho, wo))
+    y = np.empty((n, c_out, h, w))
     dxp, dk, db = np.zeros_like(xp), np.zeros_like(k), np.zeros_like(b)
     for o in range(c_out):
         ch = slice(o // og * cg, o // og * cg + cg)
-        for r in range(ho):
-            for q in range(wo):
-                win = (slice(None), ch, slice(r * stride, r * stride + kk),
-                       slice(q * stride, q * stride + kk))
+        for r in range(h):
+            for q in range(w):
+                win = (slice(None), ch, slice(r, r + kk), slice(q, q + kk))
                 for i in range(n):
                     y[i, o, r, q] = (xp[win][i] * k[o]).sum() + b[o]
                     dxp[win][i] += g[i, o, r, q] * k[o]
@@ -103,20 +102,18 @@ def assert_rel(got, want, rtol=1e-12):
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("groups, c_out", [(1, 3), (2, 6), (4, 4)])
 def test_conv2d_matches_loop_oracle(k, groups, c_out):
-    # every stride and padding, H != W, against the forward and the adjoint
+    # groups read off the kernel, H != W, against the forward and the adjoint
     rng = np.random.default_rng(10 * k + groups)
     x = rng.normal(size=(2, 4, 7, 6))
     kern = rng.normal(size=(c_out, 4 // groups, k, k))
     b = rng.normal(size=c_out)
-    for stride in (1, 2):
-        for padding in (0, 1, 2):
-            xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kern, b))
-            y = T.conv2d(xt, kt, bt, stride=stride, padding=padding, groups=groups)
-            g = rng.normal(size=y.data.shape)
-            backward(weighted_sum(y, g))
-            want = conv2d_loops(x, kern, b, g, stride, padding, groups)
-            for got, ref in zip((y.data, xt.grad, kt.grad, bt.grad), want):
-                assert_rel(got, ref)
+    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kern, b))
+    y = T.conv2d(xt, kt, bt)
+    g = rng.normal(size=y.data.shape)
+    backward(weighted_sum(y, g))
+    want = conv2d_loops(x, kern, b, g)
+    for got, ref in zip((y.data, xt.grad, kt.grad, bt.grad), want):
+        assert_rel(got, ref)
 
 
 @pytest.mark.parametrize("groups", [1, 8])
@@ -130,7 +127,7 @@ def test_conv2d_no_grad_builds_no_tap_buffer(groups):
     with T.no_grad():
         tracemalloc.start()
         try:
-            T.conv2d(x, k, b, padding=1, groups=groups)
+            T.conv2d(x, k, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -207,6 +204,29 @@ def test_silu_no_grad_matches_recorded():
     assert grad_check(lambda t: T.sum_all(T.silu(t)), x) < 1e-6
 
 
+def test_sigmoid_matches_two_branch_form():
+    z = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = T.sigmoid(z)
+        e = np.exp(-np.abs(z))
+        want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_silu_no_grad_peak_memory():
+    # the output, the sigmoid and one transient: no second exp-sized temporary
+    x = rand((1, 8, 128, 128), seed=7)
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            T.silu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3 * x.data.nbytes, peak / x.data.nbytes
+
+
 def test_layer_norm_constant_input():
     x = Tensor(np.full((2, 3, 4, 4), 7.0))
     y = T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
@@ -221,15 +241,9 @@ def test_layer_norm_affine_collapse():
 
 def test_layer_norm_two_channel():
     x = Tensor(np.stack([np.full((2, 2), 1.0), np.full((2, 2), 3.0)])[None])
-    y = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+    y = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
     np.testing.assert_allclose(y.data[0, 0], -1.0, atol=1e-5)
     np.testing.assert_allclose(y.data[0, 1], 1.0, atol=1e-5)
-
-
-def test_layer_norm_eps_validation():
-    x = rand((1, 2, 2, 2))
-    with pytest.raises(ValueError, match="eps"):
-        T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +453,14 @@ def test_grad_check_conv_ops():
     k = rand((4, 4, 3, 3), seed=13, scale=0.5)
     b = rand((4,), seed=14, scale=0.1)
     w = np.random.default_rng(15).normal(size=(1, 4, 8, 8))
-    assert grad_check(lambda t: weighted_sum(T.conv2d(t, k, b, padding=1), w), x) < 1e-6
-    assert grad_check(lambda t: weighted_sum(T.conv2d(x, t, b, padding=1), w), k) < 1e-6
-    assert grad_check(lambda t: weighted_sum(T.conv2d(x, k, t, padding=1), w), b) < 1e-6
-    # grouped + strided path
+    assert grad_check(lambda t: weighted_sum(T.conv2d(t, k, b), w), x) < 1e-6
+    assert grad_check(lambda t: weighted_sum(T.conv2d(x, t, b), w), k) < 1e-6
+    assert grad_check(lambda t: weighted_sum(T.conv2d(x, k, t), w), b) < 1e-6
+    # depthwise: groups = 4 read off the kernel
     kg = rand((4, 1, 3, 3), seed=16, scale=0.5)
-    wg = np.random.default_rng(17).normal(size=(1, 4, 4, 4))
-    assert grad_check(lambda t: weighted_sum(T.conv2d(t, kg, b, stride=2, padding=1, groups=4), wg), x) < 1e-6
-    assert grad_check(lambda t: weighted_sum(T.conv2d(x, t, b, stride=2, padding=1, groups=4), wg), kg) < 1e-6
+    wg = np.random.default_rng(17).normal(size=(1, 4, 8, 8))
+    assert grad_check(lambda t: weighted_sum(T.conv2d(t, kg, b), wg), x) < 1e-6
+    assert grad_check(lambda t: weighted_sum(T.conv2d(x, t, b), wg), kg) < 1e-6
 
 
 def test_grad_check_concat_and_norm():
@@ -476,7 +490,7 @@ def test_determinism_bitwise():
     def run():
         x = rand((2, 3, 8, 8), seed=42)
         k = rand((3, 3, 3, 3), seed=43)
-        y = T.conv2d(T.silu(x), k, Tensor(np.zeros(3)), padding=1)
+        y = T.conv2d(T.silu(x), k, Tensor(np.zeros(3)))
         return T.layer_norm(y, Tensor(np.ones(3)), Tensor(np.zeros(3))).data
 
     a, b = run(), run()

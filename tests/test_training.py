@@ -92,9 +92,10 @@ def test_ssim_symmetric():
     assert abs(TR.ssim_y(a, b) - TR.ssim_y(b, a)) < 1e-9
 
 
-def _ssim_reference(ya, yb, size=11, sigma=1.5, k1=0.01, k2=0.03):
-    win = TR.gaussian_window(size, sigma)
-    c1, c2 = k1 ** 2, k2 ** 2
+def _ssim_reference(ya, yb):
+    win = TR.gaussian_window()
+    size = win.shape[0]
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
     h, w = ya.shape
     vals = []
     for i in range(h - size + 1):
