@@ -89,6 +89,7 @@ def freqssm_block(f_in: Tensor, w: FreqSsmBlockWeights) -> Tensor:
     parts = [T.add(f_in, spatial_branch(f_ln, gate, w))]
     if w.band is not None:
         parts.append(band_branch(f_ln, gate, w))
+    del f_ln, gate  # not read again: the no-grad forward frees them before the Fourier branch
     if w.fourier is not None:
         parts.append(fourier_branch(f_in, w.fourier))
     fused = parts[0] if len(parts) == 1 else T.concat_channels(parts)

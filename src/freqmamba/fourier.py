@@ -80,7 +80,10 @@ def polar_idft2(amplitude: Tensor, phase: Tensor) -> Tensor:
     z = np.empty(a.shape, np.complex128)
     z.real = a * np.cos(p)
     z.imag = a * np.sin(p)
-    y = np.fft.ifft2(z, axes=(2, 3)).real.copy()
+    # ifft2's axis order as two 1-D inverses written back into z: no temporary complex map
+    np.fft.ifft(z, axis=3, out=z)
+    np.fft.ifft(z, axis=2, out=z)
+    y = z.real.copy()
 
     def rule(g):
         gf = np.fft.fft2(g, axes=(2, 3), norm="forward")
@@ -151,8 +154,7 @@ def fourier_branch(f_in: Tensor, w: FourierBranchWeights) -> Tensor:
     """Refine amplitude and phase separately in the frequency domain: entry
     conv -> polar DFT -> 1x1 conv + conv block on each of amplitude and phase
     -> polar inverse DFT.  Output keeps the input shape."""
-    f0 = T.conv2d(f_in, w.entry.w, w.entry.b)
-    amp, pha = polar_dft2(f0)
+    amp, pha = polar_dft2(T.conv2d(f_in, w.entry.w, w.entry.b))
     amp = conv_block(T.pointwise_conv(amp, w.amp_pw.w, w.amp_pw.b), w.amp_block)
     pha = conv_block(T.pointwise_conv(pha, w.pha_pw.w, w.pha_pw.b), w.pha_block)
     return polar_idft2(amp, pha)

@@ -224,20 +224,24 @@ def forward(model: Model, rainy: Tensor) -> Tensor:
     if h % 16 or w % 16:
         raise ShapeError(f"input H and W must be multiples of 16, got {h}x{w}")
 
-    images = [rainy]
-    for _ in range(2):
-        images.append(T.down2(images[-1]))
-    maps = None
+    # Each map is dropped after its last read, so the no-grad forward frees it
+    # there; under grad the tape keeps what its rules need.
+    maps = [None] * 3
     if model.attn:
-        maps = [B.attention_map(images[i], model.attn[i]) for i in range(3)]
+        images = [rainy]
+        for _ in range(2):
+            images.append(T.down2(images[-1]))
+        maps = [B.attention_map(im, g) for im, g in zip(images, model.attn)]
+        del images
 
     x = T.conv2d(rainy, model.stem.w, model.stem.b)
     skips = []
     for i, stage in enumerate(model.enc_stages):
         for blk in stage:
             x = B.freqssm_block(x, blk)
-            if maps is not None:
+            if maps[i] is not None:
                 x = B.apply_attention(x, maps[i])
+        maps[i] = None
         skips.append(x)
         x = T.pointwise_conv(T.down2(x), model.downs[i].w, model.downs[i].b)
 
@@ -246,7 +250,7 @@ def forward(model: Model, rainy: Tensor) -> Tensor:
 
     for i in (2, 1, 0):
         x = T.up2(x)
-        x = T.concat_channels([x, skips[i]])
+        x = T.concat_channels([x, skips.pop()])
         x = T.pointwise_conv(x, model.reduces[i].w, model.reduces[i].b)
         for blk in model.dec_stages[i]:
             x = B.freqssm_block(x, blk)

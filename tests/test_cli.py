@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +167,28 @@ def test_cmd_infer_zero_init_identity(tmp_path):
     assert cli.main(["infer", str(ckpt), str(src), str(dst)]) == 0
     out = read_ppm(dst)
     np.testing.assert_array_equal(out.data, img.data)
+
+
+@pytest.mark.slow
+def test_cmd_infer_512_resident_memory(tmp_path):
+    # Peak RSS of `freqmamba infer` on a 512x512 image with the default model,
+    # one BLAS thread: 251 MB.  The child reports its own VmHWM: its ru_maxrss
+    # starts at this process's high-water mark, which exec carries over, and
+    # RUSAGE_CHILDREN would count every child this process has had.
+    ckpt, src, dst = tmp_path / "m.fmck", tmp_path / "in.ppm", tmp_path / "out.ppm"
+    M.save(M.build(M.ModelConfig(), seed=1), ckpt)
+    write_image(src, seed=4, size=(512, 512))
+    code = ("import sys\n"
+            "from freqmamba import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))")
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code, "infer", str(ckpt), str(src), str(dst)],
+                          env=env, capture_output=True, text=True, check=True)
+    rss_mb = int(proc.stdout.split()[-2]) * 1024 / 1e6  # "VmHWM: <n> kB"
+    assert rss_mb <= 300, rss_mb
 
 
 def test_cmd_eval_runs(tmp_path, capsys):
